@@ -68,9 +68,11 @@ def resolve_exec_tier(explicit=None):
     return tier
 
 
-# Bump when CompiledKernel.artifact()'s shape changes: a mismatched
-# on-disk kernel artifact is treated as a cache miss, never deserialized.
-DISK_ARTIFACT_VERSION = 1
+# Bump when CompiledKernel.artifact()'s shape or the calling convention
+# of its stored sources changes: a mismatched on-disk kernel artifact is
+# treated as a cache miss, never deserialized. Version 2: per-item
+# sources record accesses through paired _tl<site>/_ti<site> appends.
+DISK_ARTIFACT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +282,11 @@ def _op_class(expr):
 class _Codegen:
     """Translates one kernel to the source of a per-item generator.
 
+    Every traced access records its work-item id and element index with
+    two bound ``list.append`` calls, ``_tl<site>(_gid)`` and
+    ``_ti<site>(index)``, that :meth:`CompiledKernel.launch` passes in;
+    scalar reads use ``ndarray.item(i)``.
+
     With ``sanitize=True`` the emitted code additionally calls a
     per-site checker ``_ck<site>(index[, value])`` *before* every memory
     access and a watchdog tick ``_wd()`` at the top of every loop
@@ -385,7 +392,7 @@ class _Codegen:
         if isinstance(e, K.KImageLoad):
             return self._image_load(e)
         if isinstance(e, K.KVecExtract):
-            return "({}[{}].item())".format(self.expr(e.vec), e.lane)
+            return "({}.item({}))".format(self.expr(e.vec), e.lane)
         if isinstance(e, K.KVecBuild):
             elems = ", ".join(self.expr(x) for x in e.elems)
             return "np.array([{}], dtype={})".format(elems, _np_dtype(e.ktype.base))
@@ -469,6 +476,9 @@ class _Codegen:
             space, array = node.space, node.array
         self.sites[node.site] = (space, elem_bytes, width, is_store, array)
 
+    def _record(self, site, idx_var):
+        self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, idx_var))
+
     def _load(self, e):
         if e.site < 0:
             raise DeviceError("load without a site id (run assign_sites)")
@@ -489,11 +499,11 @@ class _Codegen:
             )
         elif e.space is K.Space.PRIVATE:
             # Private arrays are per-item; no trace needed.
-            self.emit("{} = {}[{}].item()".format(temp, array, idx_var))
+            self.emit("{} = {}.item({})".format(temp, array, idx_var))
             return temp
         else:
-            self.emit("{} = {}[{}].item()".format(temp, array, idx_var))
-        self.emit("_tr{}(( _gid, {} ))".format(e.site, idx_var))
+            self.emit("{} = {}.item({})".format(temp, array, idx_var))
+        self._record(e.site, idx_var)
         return temp
 
     def _image_load(self, e):
@@ -518,7 +528,7 @@ class _Codegen:
                 width,
             )
         )
-        self.emit("_tr{}(( _gid, {} ))".format(e.site, idx_var))
+        self._record(e.site, idx_var)
         return temp
 
     # -- statements ------------------------------------------------------------
@@ -651,7 +661,7 @@ class _Codegen:
         else:
             self.emit("{}[{}] = {}".format(array, idx_var, value))
         if s.space is not K.Space.PRIVATE:
-            self.emit("_tr{}(( _gid, {} ))".format(s.site, idx_var))
+            self._record(s.site, idx_var)
 
     # -- top level --------------------------------------------------------------
 
@@ -687,7 +697,11 @@ class _Codegen:
             self.emit("if False:")
             self.emit("    yield 0")
 
-        trace_args = ["_tr{}".format(site) for site in sorted(self.sites)]
+        trace_args = [
+            "_t{}{}".format(col, site)
+            for site in sorted(self.sites)
+            for col in ("l", "i")
+        ]
         params = (
             ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp", "_segc"]
             + buffer_args
@@ -2108,21 +2122,12 @@ class CompiledKernel:
         n_groups = global_size // local_size
         sorted_sites = sorted(site_traces)
 
-        # One append callable per site, shared across the launch: each
-        # receives (global_id, index) tuples.
+        # Two bound appends per site, shared across the launch: one
+        # records the work-item id, the other the element index.
         appenders = []
         for site in sorted_sites:
             tr = site_traces[site]
-            lanes, indices = tr.lanes, tr.indices
-
-            def make_append(lanes=lanes, indices=indices):
-                def append(event):
-                    lanes.append(event[0])
-                    indices.append(event[1])
-
-                return append
-
-            appenders.append(make_append())
+            appenders += [tr.lanes.append, tr.indices.append]
 
         # Guarded launches run the instrumented item code with one
         # checker per site plus the watchdog tick.

@@ -99,14 +99,46 @@ def _event_keys(lanes, local_size, warp_width):
     return (groups.astype(np.int64) << 40) | (warps.astype(np.int64) << 28) | seq
 
 
+# Packed pair codes stay below this bound; wider ranges fall back to
+# lexsort so no code can overflow int64.
+_PACK_LIMIT = 1 << 62
+
+
+def _sorted_pairs(keys, values):
+    """Sort the (key, value) pairs by key, then by value.
+
+    Returns ``(ordered, span, new)``: ``ordered[i] // span`` is the key
+    of the i-th sorted pair (shifted by a constant), and ``new[i]`` is
+    True where that pair differs from the one before it. When the pairs
+    fit, each packs into one int64 code ``(k - kmin) * span + (v -
+    vmin)`` and a plain sort orders them; otherwise ``np.lexsort`` does.
+    """
+    kmin, kmax = int(keys.min()), int(keys.max())
+    vmin, vmax = int(values.min()), int(values.max())
+    span = vmax - vmin + 1
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    if (kmax - kmin + 1) * span < _PACK_LIMIT:
+        codes = (keys - kmin) * span + (values - vmin)
+        codes.sort()
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        return codes, span, new
+    order = np.lexsort((values, keys))
+    keys_sorted = keys[order]
+    values_sorted = values[order]
+    new[1:] = (keys_sorted[1:] != keys_sorted[:-1]) | (
+        values_sorted[1:] != values_sorted[:-1]
+    )
+    return keys_sorted, 1, new
+
+
 def _count_distinct_pairs(keys, values):
-    """Number of distinct (key, value) pairs."""
+    """Number of distinct (key, value) pairs — also the sum over keys of
+    the number of distinct values, the serialization cost of
+    constant-memory events."""
     if len(keys) == 0:
         return 0
-    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("v", np.int64)])
-    pairs["k"] = keys
-    pairs["v"] = values
-    return len(np.unique(pairs))
+    return int(np.count_nonzero(_sorted_pairs(keys, values)[2]))
 
 
 def _max_per_key_bucket(keys, buckets):
@@ -114,20 +146,15 @@ def _max_per_key_bucket(keys, buckets):
     returns the sum over keys (serialized cycles)."""
     if len(keys) == 0:
         return 0
-    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("b", np.int64)])
-    pairs["k"] = keys
-    pairs["b"] = buckets
-    uniq, counts = np.unique(pairs, return_counts=True)
-    # counts are multiplicities per (key, bucket); take max per key.
-    keys_only = uniq["k"]
-    order = np.argsort(keys_only, kind="stable")
-    keys_sorted = keys_only[order]
-    counts_sorted = counts[order]
-    change = np.empty(len(keys_sorted), dtype=bool)
-    change[0] = True
-    change[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    starts = np.flatnonzero(change)
-    maxima = np.maximum.reduceat(counts_sorted, starts)
+    ordered, span, new = _sorted_pairs(keys, buckets)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(ordered)))
+    # Distinct pairs come out grouped by key: take the max per key.
+    pair_keys = ordered[starts] // span
+    key_change = np.empty(len(pair_keys), dtype=bool)
+    key_change[0] = True
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=key_change[1:])
+    maxima = np.maximum.reduceat(counts, np.flatnonzero(key_change))
     return int(maxima.sum())
 
 
@@ -161,12 +188,6 @@ def _strict_coalescing_transactions(keys, byte_addr, segment_bytes, access_bytes
         else:
             total += lanes
     return total
-
-
-def _distinct_per_key_total(keys, values):
-    """Sum over keys of the number of distinct values — the serialization
-    cost of constant-memory events."""
-    return _count_distinct_pairs(keys, values)
 
 
 def analyze_site(trace_site, device, local_size):
@@ -216,7 +237,7 @@ def analyze_site(trace_site, device, local_size):
         banks = words % device.local_memory_banks
         # Broadcast detection: an event where every lane reads the same
         # word costs one cycle; otherwise the max-per-bank multiplicity.
-        distinct_words = _distinct_per_key_total(keys, words)
+        distinct_words = _count_distinct_pairs(keys, words)
         max_bank = _max_per_key_bucket(keys, banks)
         if distinct_words == stats.events:
             # Every event touched a single word: pure broadcast.
@@ -225,7 +246,7 @@ def analyze_site(trace_site, device, local_size):
             stats.conflict_cycles = max_bank
     elif trace_site.space is Space.CONSTANT:
         words = byte_addr // 4
-        stats.serial_words = _distinct_per_key_total(keys, words)
+        stats.serial_words = _count_distinct_pairs(keys, words)
     return stats
 
 

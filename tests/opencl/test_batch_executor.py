@@ -71,6 +71,17 @@ __kernel void nested(__global int* out, __global const int* bounds, int n) {
 }
 """
 
+UNIFORM_LOOP = """
+__kernel void window(__global int* out, __global const int* x, int n) {
+    int i = get_global_id(0);
+    int acc = 0;
+    for (int j = 0; j < 3; j++) {
+        acc = acc + x[(i * 5 + j * 3) % n];
+    }
+    out[i] = acc;
+}
+"""
+
 OOB_WRITE = """
 __kernel void oob(__global float* out, __global const float* x, int n) {
     int i = get_global_id(0);
@@ -147,6 +158,58 @@ def test_batch_runs_batched_and_matches_per_item():
     assert t_batch.tier == "batch"
     assert np.array_equal(bufs_a["out"], bufs_b["out"])
     assert t_item.op_cycles == t_batch.op_cycles
+
+
+def _per_lane_sequences(trace):
+    """Each site's accesses stably sorted by lane: every lane's access
+    order at that site, independent of how the tier interleaved lanes."""
+    out = {}
+    for site, tr in trace.sites.items():
+        lanes, indices = tr.arrays()
+        order = np.argsort(lanes, kind="stable")
+        out[site] = (lanes[order].tolist(), indices[order].tolist())
+    return out
+
+
+@pytest.mark.parametrize(
+    "source,name,buffers,scalars",
+    [
+        (
+            ELIGIBLE,
+            "saxpy",
+            lambda n: {
+                "out": np.zeros(n, dtype=np.float32),
+                "x": np.linspace(0.0, 1.0, n).astype(np.float32),
+            },
+            {"a": 3.0},
+        ),
+        (
+            UNIFORM_LOOP,
+            "window",
+            lambda n: {
+                "out": np.zeros(n, dtype=np.int32),
+                "x": np.arange(n, dtype=np.int32) * 7,
+            },
+            {},
+        ),
+    ],
+)
+def test_per_item_and_batch_record_the_same_per_lane_accesses(
+    source, name, buffers, scalars
+):
+    ck = _compile(source, name)
+    assert ck.batch_supported
+    n = 16
+    scalars = dict(scalars, n=n)
+    bufs_a, bufs_b = buffers(n), buffers(n)
+    t_item = ck.launch(bufs_a, scalars, n, 4, tier="per-item")
+    t_batch = ck.launch(bufs_b, scalars, n, 4, tier="batch")
+    assert (t_item.tier, t_batch.tier) == ("per-item", "batch")
+    assert np.array_equal(bufs_a["out"], bufs_b["out"])
+    seq_item = _per_lane_sequences(t_item)
+    assert seq_item == _per_lane_sequences(t_batch)
+    # Every site saw every lane, in a shape the comparison can tell apart.
+    assert all(len(lanes) >= n for lanes, _ in seq_item.values())
 
 
 # -- sanitizer guards force the instrumented path ------------------------

@@ -117,6 +117,32 @@ class TestDiskKernelStore:
         assert store.load(key_for(other)) is None
         assert store.corrupt == 1
 
+    def test_version_1_artifact_is_a_miss_and_recompiles(self, tmp_path):
+        # Version 1 per-item sources take one tuple-append per site, not
+        # the _tl/_ti pair launch now passes: never exec such a source.
+        store = DiskKernelStore(tmp_path)
+        kernel = make_kernel()
+        compiled = CompiledKernel(kernel)
+        store.store(key_for(kernel), compiled)
+        path = store._path(key_for(kernel))
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["version"] = payload["artifact"]["version"] = 1
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+
+        cache = KernelCache()
+        before = codegen_compiles()
+        entry, kind = cache.lookup(
+            kernel, sanitizer="none", device="gtx580", store=store
+        )
+        assert kind == "miss"
+        assert store.corrupt == 1
+        assert codegen_compiles() > before  # recompiled, not restored
+        assert np.array_equal(launch_sum(entry), launch_sum(compiled))
+        # The recompiled kernel replaced the stale artifact.
+        assert store.load(key_for(kernel)) is not None
+
     def test_same_directory_separates_device_variants(self, tmp_path):
         store = DiskKernelStore(tmp_path)
         kernel = make_kernel()

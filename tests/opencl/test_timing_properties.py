@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from repro.backend.kernel_ir import Space
 from repro.opencl.device import GTX580, GTX8800
 from repro.opencl.executor import LaunchTrace, SiteTrace
-from repro.opencl.timing import analyze_site, time_launch
+from repro.opencl.timing import (
+    _count_distinct_pairs,
+    _max_per_key_bucket,
+    _sorted_pairs,
+    analyze_site,
+    time_launch,
+)
 
 
 def make_site(space, accesses, elem_bytes=4, width=1):
@@ -102,3 +108,78 @@ def test_timing_deterministic():
         trace.sites = {0: make_site(Space.GLOBAL, accesses)}
         runs.append(time_launch(trace, GTX8800).kernel_ns)
     assert runs[0] == runs[1] == runs[2]
+
+
+# -- pair counting against a structured-np.unique reference -----------------
+
+
+def reference_distinct_pairs(keys, values):
+    """Distinct (key, value) pairs via np.unique over a structured array."""
+    if len(keys) == 0:
+        return 0
+    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("v", np.int64)])
+    pairs["k"] = keys
+    pairs["v"] = values
+    return len(np.unique(pairs))
+
+
+def reference_max_per_key_bucket(keys, buckets):
+    """Sum over keys of the largest bucket multiplicity, via np.unique
+    over a structured array."""
+    if len(keys) == 0:
+        return 0
+    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("b", np.int64)])
+    pairs["k"] = keys
+    pairs["b"] = buckets
+    uniq, counts = np.unique(pairs, return_counts=True)
+    best = {}
+    for key, count in zip(uniq["k"].tolist(), counts.tolist()):
+        best[key] = max(best.get(key, 0), count)
+    return sum(best.values())
+
+
+INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+# Few distinct small values (so pairs repeat), negative indices as
+# un-sanitized per-item code can record them, and full-range values that
+# force the lexsort fallback.
+PAIR_COLUMN_VALUE = st.one_of(st.integers(-8, 8), st.integers(-5000, 5000), INT64)
+
+
+def pair_columns(pairs):
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.int64)
+    return keys, values
+
+
+def assert_matches_reference(keys, values):
+    assert _count_distinct_pairs(keys, values) == reference_distinct_pairs(
+        keys, values
+    )
+    assert _max_per_key_bucket(keys, values) == reference_max_per_key_bucket(
+        keys, values
+    )
+
+
+@given(st.lists(st.tuples(PAIR_COLUMN_VALUE, PAIR_COLUMN_VALUE), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_pair_counting_matches_structured_unique(pairs):
+    assert_matches_reference(*pair_columns(pairs))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=60),
+    st.sampled_from([1 << 40, 1 << 62, 2 ** 63 - 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_pair_counting_matches_reference_across_lexsort_fallback(pairs, far):
+    """Repeated pairs plus a far-away key and value: packed codes would
+    overflow, so the counts come from the lexsort path."""
+    keys, values = pair_columns(pairs + [(0, far), (-far, 0)])
+    assert _sorted_pairs(keys, values)[1] == 1  # lexsort fallback taken
+    assert_matches_reference(keys, values)
+
+
+def test_pair_counting_empty_input():
+    empty = np.array([], dtype=np.int64)
+    assert _count_distinct_pairs(empty, empty) == 0
+    assert _max_per_key_bucket(empty, empty) == 0
