@@ -106,18 +106,6 @@ def figure7_chart(table, target):
     )
 
 
-def figure8_chart(table, gpu):
-    """Grouped bars of Figure 8 for one GPU."""
-    groups = []
-    for name, row in table[gpu].items():
-        series = [(k, v) for k, v in row.items() if not k.startswith("_")]
-        groups.append((name, series))
-    return grouped_bar_chart(
-        groups,
-        title="Figure 8 — speedup over hand-tuned OpenCL on {}".format(gpu),
-    )
-
-
 FIGURE9_STAGES = [
     ("kernel", "#"),
     ("java_marshal", "J"),

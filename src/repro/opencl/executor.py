@@ -3,7 +3,11 @@
 The executor compiles kernel IR to Python source (one generator function
 per work-item; ``barrier()`` becomes ``yield`` and the scheduler resumes
 every item of the work-group in lockstep phases), then runs it over an
-NDRange. It produces two things:
+NDRange. Eligible kernels also get a whole-ndrange NumPy variant (the
+batch tier). Both tiers come from one lowering walk, :class:`_Codegen`;
+the batch tier's :class:`_BatchCodegen` overrides only how things are
+spelled, so both produce the same op-count segments and access sites.
+The executor produces two things:
 
 - the actual output buffers — the simulator *computes real results*,
   which the tests compare against the host interpreter and NumPy
@@ -13,8 +17,8 @@ NDRange. It produces two things:
   in which order), from which :mod:`repro.opencl.timing` derives
   coalescing, bank-conflict, cache, and broadcast behavior.
 
-Integer arithmetic wraps to 32 bits at multiplications, shifts, and
-casts (the overflow-relevant operations for the benchmark suite); floats
+Integer arithmetic wraps to its width (32 or 64 bits) at additions,
+multiplications, negations, complements, shifts, and casts; floats
 compute in double precision and round on store into ``float`` buffers,
 matching the host interpreter's conventions.
 """
@@ -72,7 +76,8 @@ def resolve_exec_tier(explicit=None):
 # of its stored sources changes: a mismatched on-disk kernel artifact is
 # treated as a cache miss, never deserialized. Version 2: per-item
 # sources record accesses through paired _tl<site>/_ti<site> appends.
-DISK_ARTIFACT_VERSION = 2
+# Version 3: integer unary -/~ wrap by type and float % is fmod.
+DISK_ARTIFACT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,10 @@ class SiteTrace:
         return np.concatenate(lane_parts), np.concatenate(idx_parts)
 
 
+# The op counters of a straight-line segment and of a whole launch.
+_OP_KINDS = ("int", "long", "fp", "dp", "cmp", "branch", "trans_f", "trans_d")
+
+
 class LaunchTrace:
     """Everything one kernel launch did, for the timing model."""
 
@@ -150,16 +159,7 @@ class LaunchTrace:
         self.global_size = global_size
         self.local_size = local_size
         self.tier = "per-item"  # which execution tier ran this launch
-        self.op_cycles = {
-            "int": 0,
-            "long": 0,
-            "fp": 0,
-            "dp": 0,
-            "cmp": 0,
-            "branch": 0,
-            "trans_f": 0,
-            "trans_d": 0,
-        }
+        self.op_cycles = dict.fromkeys(_OP_KINDS, 0)
         self.sites = {}
         self.barriers = 0
 
@@ -175,35 +175,37 @@ class LaunchTrace:
 # Expression / statement code generation
 # ---------------------------------------------------------------------------
 
+# Math builtins: name -> (per-item spelling, batch spelling). The batch
+# helpers accept arrays and scalars alike (see the runtime section).
 _MATH_ONE = {
-    "sqrt": "math.sqrt",
-    "native_sqrt": "math.sqrt",
-    "rsqrt": "_rsqrt",
-    "native_rsqrt": "_rsqrt",
-    "sin": "math.sin",
-    "native_sin": "math.sin",
-    "cos": "math.cos",
-    "native_cos": "math.cos",
-    "tan": "math.tan",
-    "native_tan": "math.tan",
-    "exp": "math.exp",
-    "native_exp": "math.exp",
-    "log": "math.log",
-    "native_log": "math.log",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "fabs": "abs",
-    "abs": "abs",
+    "sqrt": ("math.sqrt", "_vsqrt"),
+    "native_sqrt": ("math.sqrt", "_vsqrt"),
+    "rsqrt": ("_rsqrt", "_vrsqrt"),
+    "native_rsqrt": ("_rsqrt", "_vrsqrt"),
+    "sin": ("math.sin", "_vsin"),
+    "native_sin": ("math.sin", "_vsin"),
+    "cos": ("math.cos", "_vcos"),
+    "native_cos": ("math.cos", "_vcos"),
+    "tan": ("math.tan", "_vtan"),
+    "native_tan": ("math.tan", "_vtan"),
+    "exp": ("math.exp", "_vexp"),
+    "native_exp": ("math.exp", "_vexp"),
+    "log": ("math.log", "_vlog"),
+    "native_log": ("math.log", "_vlog"),
+    "floor": ("math.floor", "_vfloor"),
+    "ceil": ("math.ceil", "_vceil"),
+    "fabs": ("abs", "abs"),
+    "abs": ("abs", "abs"),
 }
 _MATH_TWO = {
-    "pow": "math.pow",
-    "native_powr": "math.pow",
-    "atan2": "math.atan2",
-    "hypot": "math.hypot",
-    "min": "min",
-    "max": "max",
-    "fmin": "min",
-    "fmax": "max",
+    "pow": ("math.pow", "_vpow"),
+    "native_powr": ("math.pow", "_vpow"),
+    "atan2": ("math.atan2", "_vatan2"),
+    "hypot": ("math.hypot", "_vhypot"),
+    "min": ("min", "_vmin"),
+    "max": ("max", "_vmax"),
+    "fmin": ("min", "_vmin"),
+    "fmax": ("max", "_vmax"),
 }
 
 _WORKITEM_FUNCS = {
@@ -280,7 +282,8 @@ def _op_class(expr):
 
 
 class _Codegen:
-    """Translates one kernel to the source of a per-item generator.
+    """The one lowering walk over kernel IR. Used directly, it writes
+    the source of a per-item generator.
 
     Every traced access records its work-item id and element index with
     two bound ``list.append`` calls, ``_tl<site>(_gid)`` and
@@ -292,7 +295,40 @@ class _Codegen:
     access and a watchdog tick ``_wd()`` at the top of every loop
     iteration. The op-count segments and access sites are identical in
     both modes, so instrumented launches report the same profile.
+
+    :class:`_BatchCodegen` reuses this walk and overrides only how
+    things are spelled: the class constants below and the one-line
+    hooks ``_var``, ``_read``, ``_write``, ``_record``, ``_bind`` and
+    ``_finish``.
     """
+
+    # Spellings. Templates take positional operands, or the named
+    # fields {t}/{c}/{o} (select), {v}/{lane} (extract), {elems}/{dtype}
+    # (build), {seg} (segment bump) and {depth}.
+    MATH = 0  # column of _MATH_ONE/_MATH_TWO
+    WRAP = ("_i32", "_i64")  # integer wrap, indexed by is_long
+    CASTS = {
+        "int": "_i32(int({}))",
+        "long": "_i64(int({}))",
+        "char": "_i8(int({}))",
+        "float": "_f32({})",
+        "double": "float({})",
+        "bool": "bool({})",
+    }
+    IDIV = "_idiv({}, {})"
+    IREM = "_irem({}, {})"
+    FDIV = "(({}) / ({}))"
+    FREM = "math.fmod({}, {})"
+    NOT = "(not {})"
+    AND = "(({}) and ({}))"
+    OR = "(({}) or ({}))"
+    USHR_MASK = ("0xFFFFFFFF", "0xFFFFFFFFFFFFFFFF")  # indexed by is_long
+    SELECT = "(({t}) if ({c}) else ({o}))"
+    EXTRACT = "({v}.item({lane}))"
+    BUILD = "np.array([{elems}], dtype={dtype})"
+    WORKITEM = _WORKITEM_FUNCS
+    SEG_BUMP = "_segc[{seg}] += 1"
+    PRIVATE_SHAPE = "{}"
 
     def __init__(self, kernel, sanitize=False):
         self.kernel = kernel
@@ -304,6 +340,10 @@ class _Codegen:
         self.current_segment = None
         self.sites = {}  # site -> (space, elem_bytes, width, is_store, array)
         self.has_barrier = False
+        # Nesting of the statement being lowered (the batch tier's
+        # grid-stride loop is depth 1) and of each declared variable.
+        self.depth = 0
+        self.var_depth = {}
         # Loop-context stack for break/continue translation: each entry
         # is ("plain", None) for loops whose Python form matches the IR
         # semantics directly, or ("wrapped", brk_var) for KFor loops
@@ -325,19 +365,8 @@ class _Codegen:
         counter bump emitted) when none is active."""
         if self.current_segment is None:
             seg_id = len(self.segments)
-            self.segments.append(
-                {
-                    "int": 0,
-                    "long": 0,
-                    "fp": 0,
-                    "dp": 0,
-                    "cmp": 0,
-                    "branch": 0,
-                    "trans_f": 0,
-                    "trans_d": 0,
-                }
-            )
-            self.emit("_segc[{}] += 1".format(seg_id))
+            self.segments.append(dict.fromkeys(_OP_KINDS, 0))
+            self.emit(self.SEG_BUMP.format(seg=seg_id, depth=self.depth))
             self.current_segment = self.segments[seg_id]
         return self.current_segment
 
@@ -367,54 +396,65 @@ class _Codegen:
                     return "(-math.inf)"
             return repr(e.value)
         if isinstance(e, K.KVar):
-            return _pyname(e.name)
+            return self._var(e.name)
         if isinstance(e, K.KUn):
             self.charge(e)
             operand = self.expr(e.operand)
             if e.op == "!":
-                return "(not {})".format(operand)
-            if e.op == "~":
-                return "(_i32(~({})))".format(operand)
+                return self.NOT.format(operand)
+            if e.op in ("-", "~") and _is_int(e.ktype):
+                return "({}({}({})))".format(
+                    self.WRAP[_is_long(e.ktype)], e.op, operand
+                )
             return "({}{})".format(e.op, operand)
         if isinstance(e, K.KBin):
             return self._binary(e)
         if isinstance(e, K.KSelect):
             self.charge(e)
-            return "(({}) if ({}) else ({}))".format(
-                self.expr(e.then), self.expr(e.cond), self.expr(e.otherwise)
+            # Lowered then/cond/otherwise: the per-item temp numbering
+            # depends on it (batch arms never hoist loads).
+            return self.SELECT.format(
+                t=self.expr(e.then), c=self.expr(e.cond), o=self.expr(e.otherwise)
             )
         if isinstance(e, K.KCast):
-            return self._cast(e)
+            inner = self.expr(e.expr)
+            if isinstance(e.ktype, K.KScalar) and e.ktype.kind in self.CASTS:
+                return self.CASTS[e.ktype.kind].format(inner)
+            return inner
         if isinstance(e, K.KCall):
             return self._call(e)
-        if isinstance(e, K.KLoad):
+        if isinstance(e, (K.KLoad, K.KImageLoad)):
             return self._load(e)
-        if isinstance(e, K.KImageLoad):
-            return self._image_load(e)
         if isinstance(e, K.KVecExtract):
-            return "({}.item({}))".format(self.expr(e.vec), e.lane)
+            return self.EXTRACT.format(v=self.expr(e.vec), lane=e.lane)
         if isinstance(e, K.KVecBuild):
-            elems = ", ".join(self.expr(x) for x in e.elems)
-            return "np.array([{}], dtype={})".format(elems, _np_dtype(e.ktype.base))
+            return self.BUILD.format(
+                elems=", ".join(self.expr(x) for x in e.elems),
+                dtype=_np_dtype(e.ktype.base),
+                depth=self.depth,
+            )
         raise DeviceError("cannot generate code for {}".format(type(e).__name__))
+
+    def _var(self, name):
+        return _pyname(name)
 
     def _binary(self, e):
         self.charge(e)
         left = self.expr(e.left)
         right = self.expr(e.right)
         op = e.op
-        is_long = isinstance(e.ktype, K.KScalar) and e.ktype.kind == "long"
-        is_int = isinstance(e.ktype, K.KScalar) and e.ktype.kind in (
-            "int",
-            "long",
-            "char",
-        )
-        wrap = "_i64" if is_long else "_i32"
+        is_long = _is_long(e.ktype)
+        is_int = _is_int(e.ktype)
+        wrap = self.WRAP[is_long]
         shift_mask = 63 if is_long else 31
         if op == "/" and is_int:
-            return "_idiv({}, {})".format(left, right)
+            return self.IDIV.format(left, right)
         if op == "%" and is_int:
-            return "_irem({}, {})".format(left, right)
+            return self.IREM.format(left, right)
+        if op == "/" and not isinstance(e.ktype, K.KVector):
+            return self.FDIV.format(left, right)
+        if op == "%" and isinstance(e.ktype, K.KScalar) and e.ktype.is_float:
+            return self.FREM.format(left, right)
         if op in ("*", "+", "-") and is_int:
             return "{}(({}) {} ({}))".format(wrap, left, op, right)
         if op == "<<":
@@ -422,43 +462,31 @@ class _Codegen:
         if op == ">>":
             return "(({}) >> (({}) & {}))".format(left, right, shift_mask)
         if op == ">>>":
-            mask = "0xFFFFFFFFFFFFFFFF" if is_long else "0xFFFFFFFF"
+            mask = self.USHR_MASK[is_long]
+            if mask is None:
+                raise DeviceError("64-bit >>> is not batch-compilable")
             return "((({}) & {}) >> (({}) & {}))".format(
                 left, mask, right, shift_mask
             )
         if op == "&&":
-            return "(({}) and ({}))".format(left, right)
+            return self.AND.format(left, right)
         if op == "||":
-            return "(({}) or ({}))".format(left, right)
+            return self.OR.format(left, right)
         return "(({}) {} ({}))".format(left, op, right)
 
-    def _cast(self, e):
-        inner = self.expr(e.expr)
-        if isinstance(e.ktype, K.KScalar):
-            kind = e.ktype.kind
-            if kind == "int":
-                return "_i32(int({}))".format(inner)
-            if kind == "long":
-                return "_i64(int({}))".format(inner)
-            if kind == "char":
-                return "_i8(int({}))".format(inner)
-            if kind == "float":
-                return "_f32({})".format(inner)
-            if kind == "double":
-                return "float({})".format(inner)
-            if kind == "bool":
-                return "bool({})".format(inner)
-        return inner
-
     def _call(self, e):
-        if e.name in _WORKITEM_FUNCS:
-            return _WORKITEM_FUNCS[e.name]
+        if e.name in self.WORKITEM:
+            return self.WORKITEM[e.name].format(depth=self.depth)
         self.charge(e)
         if e.name in _MATH_ONE:
-            return "{}({})".format(_MATH_ONE[e.name], self.expr(e.args[0]))
+            return "{}({})".format(
+                _MATH_ONE[e.name][self.MATH], self.expr(e.args[0])
+            )
         if e.name in _MATH_TWO:
             return "{}({}, {})".format(
-                _MATH_TWO[e.name], self.expr(e.args[0]), self.expr(e.args[1])
+                _MATH_TWO[e.name][self.MATH],
+                self.expr(e.args[0]),
+                self.expr(e.args[1]),
             )
         raise DeviceError("unknown device builtin '{}'".format(e.name))
 
@@ -476,69 +504,52 @@ class _Codegen:
             space, array = node.space, node.array
         self.sites[node.site] = (space, elem_bytes, width, is_store, array)
 
-    def _record(self, site, idx_var):
-        self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, idx_var))
-
     def _load(self, e):
         if e.site < 0:
             raise DeviceError("load without a site id (run assign_sites)")
         self._register_site(e, is_store=False)
-        index = self.expr(e.index)
+        if isinstance(e, K.KImageLoad):
+            index = self.expr(e.coord)
+            array, space = _bufname(e.image, K.Space.GLOBAL), K.Space.IMAGE
+        else:
+            index = self.expr(e.index)
+            array, space = _bufname(e.array, e.space), e.space
         temp = self.fresh()
         idx_var = self.fresh()
         self.emit("{} = {}".format(idx_var, index))
         if self.sanitize:
             self.emit("_ck{}({})".format(e.site, idx_var))
-        array = _bufname(e.array, e.space)
-        if isinstance(e.ktype, K.KVector):
-            width = e.ktype.width
-            self.emit(
-                "{} = {}[{} * {} : {} * {} + {}]".format(
-                    temp, array, idx_var, width, idx_var, width, width
-                )
-            )
-        elif e.space is K.Space.PRIVATE:
-            # Private arrays are per-item; no trace needed.
-            self.emit("{} = {}.item({})".format(temp, array, idx_var))
-            return temp
-        else:
-            self.emit("{} = {}.item({})".format(temp, array, idx_var))
-        self._record(e.site, idx_var)
+        self.emit("{} = {}".format(temp, self._read(array, idx_var, e.ktype, space)))
+        # Scalar private reads are per-item state; no trace needed.
+        if isinstance(e.ktype, K.KVector) or space is not K.Space.PRIVATE:
+            self._record(e.site, idx_var)
         return temp
 
-    def _image_load(self, e):
-        if e.site < 0:
-            raise DeviceError("image load without a site id")
-        self._register_site(e, is_store=False)
-        coord = self.expr(e.coord)
-        temp = self.fresh()
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, coord))
-        if self.sanitize:
-            self.emit("_ck{}({})".format(e.site, idx_var))
-        width = e.ktype.width
-        self.emit(
-            "{} = {}[{} * {} : {} * {} + {}]".format(
-                temp,
-                _bufname(e.image, K.Space.GLOBAL),
-                idx_var,
-                width,
-                idx_var,
-                width,
-                width,
+    def _read(self, array, idx, ktype, space):
+        if isinstance(ktype, K.KVector):
+            return "{0}[{1} * {2} : {1} * {2} + {2}]".format(array, idx, ktype.width)
+        return "{}.item({})".format(array, idx)
+
+    def _write(self, array, idx, value, ktype, space):
+        if isinstance(ktype, K.KVector):
+            return "{0}[{1} * {2} : {1} * {2} + {2}] = {3}".format(
+                array, idx, ktype.width, value
             )
-        )
-        self._record(e.site, idx_var)
-        return temp
+        return "{}[{}] = {}".format(array, idx, value)
+
+    def _record(self, site, idx_var):
+        self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, idx_var))
 
     # -- statements ------------------------------------------------------------
 
     def stmt(self, s):
         if isinstance(s, K.KDecl):
             init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
-            self.emit("{} = {}".format(_pyname(s.name), init))
+            self.emit("{} = {}".format(_pyname(s.name), self._bind(s, init)))
+            self.var_depth[s.name] = self.depth
         elif isinstance(s, K.KAssign):
-            self.emit("{} = {}".format(_pyname(s.name), self.expr(s.value)))
+            rhs = self._bind(s, self.expr(s.value))
+            self.emit("{} = {}".format(_pyname(s.name), rhs))
         elif isinstance(s, K.KStore):
             self._store(s)
         elif isinstance(s, K.KIf):
@@ -551,45 +562,7 @@ class _Codegen:
                 self._block(s.otherwise)
             self.close_segment()
         elif isinstance(s, K.KFor):
-            var = _pyname(s.var)
-            self.emit("{} = {}".format(var, self.expr(s.lo)))
-            hi = self.fresh()
-            self.emit("{} = {}".format(hi, self.expr(s.hi)))
-            step = self.fresh()
-            self.emit("{} = {}".format(step, self.expr(s.step)))
-            self.close_segment()
-            self.emit("while {} < {}:".format(var, hi))
-            self.indent += 1
-            if self.sanitize:
-                self.emit("_wd()")
-            self._segment()["cmp"] += 1
-            self._segment()["branch"] += 1
-            self._segment()["int"] += 1  # induction update
-            if _has_loop_jumps(s.body):
-                # A bare Python `continue` would skip the induction
-                # update: wrap the body in a one-iteration loop so
-                # `continue` becomes `break` out of the wrapper and the
-                # update still runs; `break` sets a flag checked after.
-                brk = self.fresh()
-                self.emit("{} = False".format(brk))
-                self.emit("for _once in (0,):")
-                self.indent += 1
-                self.loop_stack.append(("wrapped", brk))
-                for child in s.body:
-                    self.stmt(child)
-                self.loop_stack.pop()
-                self.indent -= 1
-                self.close_segment()
-                self.emit("if {}:".format(brk))
-                self.emit("    break")
-            else:
-                self.loop_stack.append(("plain", None))
-                for child in s.body:
-                    self.stmt(child)
-                self.loop_stack.pop()
-            self.emit("{} += {}".format(var, step))
-            self.indent -= 1
-            self.close_segment()
+            self._for(s)
         elif isinstance(s, K.KWhile):
             self.close_segment()
             self.emit("while {}:".format(self.expr(s.cond)))
@@ -627,6 +600,52 @@ class _Codegen:
         else:
             raise DeviceError("cannot execute {}".format(type(s).__name__))
 
+    def _bind(self, s, value):
+        """The value a declaration or assignment stores."""
+        return value
+
+    def _for(self, s):
+        var = _pyname(s.var)
+        self.emit("{} = {}".format(var, self.expr(s.lo)))
+        hi = self.fresh()
+        self.emit("{} = {}".format(hi, self.expr(s.hi)))
+        step = self.fresh()
+        self.emit("{} = {}".format(step, self.expr(s.step)))
+        self.close_segment()
+        self.emit("while {} < {}:".format(var, hi))
+        self.indent += 1
+        if self.sanitize:
+            self.emit("_wd()")
+        self._segment()["cmp"] += 1
+        self._segment()["branch"] += 1
+        self._segment()["int"] += 1  # induction update
+        self.var_depth[s.var] = self.depth
+        if _has_loop_jumps(s.body):
+            # A bare Python `continue` would skip the induction
+            # update: wrap the body in a one-iteration loop so
+            # `continue` becomes `break` out of the wrapper and the
+            # update still runs; `break` sets a flag checked after.
+            brk = self.fresh()
+            self.emit("{} = False".format(brk))
+            self.emit("for _once in (0,):")
+            self.indent += 1
+            self.loop_stack.append(("wrapped", brk))
+            for child in s.body:
+                self.stmt(child)
+            self.loop_stack.pop()
+            self.indent -= 1
+            self.close_segment()
+            self.emit("if {}:".format(brk))
+            self.emit("    break")
+        else:
+            self.loop_stack.append(("plain", None))
+            for child in s.body:
+                self.stmt(child)
+            self.loop_stack.pop()
+        self.emit("{} += {}".format(var, step))
+        self.indent -= 1
+        self.close_segment()
+
     def _block(self, stmts):
         self.indent += 1
         self.close_segment()
@@ -651,15 +670,7 @@ class _Codegen:
             self.emit("_ck{}({}, {})".format(s.site, idx_var, val_var))
             value = val_var
         array = _bufname(s.array, s.space)
-        if isinstance(s.ktype, K.KVector):
-            width = s.ktype.width
-            self.emit(
-                "{}[{} * {} : {} * {} + {}] = {}".format(
-                    array, idx_var, width, idx_var, width, width, value
-                )
-            )
-        else:
-            self.emit("{}[{}] = {}".format(array, idx_var, value))
+        self.emit(self._write(array, idx_var, value, s.ktype, s.space))
         if s.space is not K.Space.PRIVATE:
             self._record(s.site, idx_var)
 
@@ -667,36 +678,35 @@ class _Codegen:
 
     def generate(self):
         kernel = self.kernel
-        buffer_args = [
-            _bufname(p.name, p.space) for p in kernel.params if p.is_pointer
-        ]
-        scalar_args = [_pyname(p.name) for p in kernel.params if not p.is_pointer]
-        local_args = [
-            _bufname(a.name, a.space)
-            for a in kernel.arrays
-            if a.space is K.Space.LOCAL
-        ]
-        trace_args = []  # filled after body generation
-        header_placeholder = len(self.lines)
-
         # Private array declarations come first.
-        body_start = len(self.lines)
         for arr in kernel.arrays:
             if arr.space is K.Space.PRIVATE:
                 self.emit(
                     "{} = np.zeros({}, dtype={})".format(
                         _bufname(arr.name, arr.space),
-                        arr.size,
+                        self.PRIVATE_SHAPE.format(arr.size),
                         _np_dtype(arr.ktype),
                     )
                 )
         for stmt in kernel.body:
             self.stmt(stmt)
+        args = [_bufname(p.name, p.space) for p in kernel.params if p.is_pointer]
+        args += [_pyname(p.name) for p in kernel.params if not p.is_pointer]
+        source = [self._finish(args)] + self.lines
+        return "\n".join(source), self.segments, self.sites
+
+    def _finish(self, args):
+        """Close the body and return the ``def`` line; ``args`` are the
+        kernel's buffer then scalar parameters."""
         if not self.has_barrier:
             # Make every item function a generator uniformly.
             self.emit("if False:")
             self.emit("    yield 0")
-
+        local_args = [
+            _bufname(a.name, a.space)
+            for a in self.kernel.arrays
+            if a.space is K.Space.LOCAL
+        ]
         trace_args = [
             "_t{}{}".format(col, site)
             for site in sorted(self.sites)
@@ -704,8 +714,7 @@ class _Codegen:
         ]
         params = (
             ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp", "_segc"]
-            + buffer_args
-            + scalar_args
+            + args
             + local_args
             + trace_args
         )
@@ -713,9 +722,15 @@ class _Codegen:
             params += ["_wd"] + [
                 "_ck{}".format(site) for site in sorted(self.sites)
             ]
-        header = "def _item({}):".format(", ".join(params))
-        source = [header] + self.lines
-        return "\n".join(source), self.segments, self.sites
+        return "def _item({}):".format(", ".join(params))
+
+
+def _is_long(ktype):
+    return isinstance(ktype, K.KScalar) and ktype.kind == "long"
+
+
+def _is_int(ktype):
+    return isinstance(ktype, K.KScalar) and ktype.kind in ("int", "long", "char")
 
 
 def _has_loop_jumps(stmts):
@@ -981,46 +996,14 @@ def batch_eligibility(kernel):
     return True, ""
 
 
-_BATCH_MATH_ONE = {
-    "sqrt": "_vsqrt",
-    "native_sqrt": "_vsqrt",
-    "rsqrt": "_vrsqrt",
-    "native_rsqrt": "_vrsqrt",
-    "sin": "_vsin",
-    "native_sin": "_vsin",
-    "cos": "_vcos",
-    "native_cos": "_vcos",
-    "tan": "_vtan",
-    "native_tan": "_vtan",
-    "exp": "_vexp",
-    "native_exp": "_vexp",
-    "log": "_vlog",
-    "native_log": "_vlog",
-    "floor": "_vfloor",
-    "ceil": "_vceil",
-    "fabs": "abs",
-    "abs": "abs",
-}
-_BATCH_MATH_TWO = {
-    "pow": "_vpow",
-    "native_powr": "_vpow",
-    "atan2": "_vatan2",
-    "hypot": "_vhypot",
-    "min": "_vmin",
-    "max": "_vmax",
-    "fmin": "_vmin",
-    "fmax": "_vmax",
-}
+class _BatchCodegen(_Codegen):
+    """Lowers one batch-eligible kernel to a whole-ndrange function.
 
-
-class _BatchCodegen:
-    """Translates one batch-eligible kernel to a whole-ndrange function.
-
-    The traversal mirrors :class:`_Codegen` statement for statement so
-    the straight-line segments and access sites come out *identical* —
-    :class:`CompiledKernel` asserts this at build time — and the op
-    counters/memory trace (hence the simulated timing) match the
-    per-item tier exactly. Values aligned to the active lane set:
+    The walk is :class:`_Codegen`'s, so the straight-line segments and
+    access sites come out *identical* — :class:`CompiledKernel` asserts
+    this at build time — and the op counters/memory trace (hence the
+    simulated timing) match the per-item tier exactly. Only spellings
+    differ. Values aligned to the active lane set:
 
     - at depth 0 (outside the grid-stride loop) every lane is active;
       varying values are full-length arrays aligned to ``_G0``
@@ -1031,17 +1014,42 @@ class _BatchCodegen:
       declared outside re-align via ``[_A1]``.
     """
 
+    MATH = 1
+    WRAP = ("_vi32", "_vi64")
+    CASTS = {
+        "int": "_vci32({})",
+        "long": "_vci64({})",
+        "char": "_vci8({})",
+        "float": "_vcf32({})",
+        "double": "_vcdbl({})",
+        "bool": "_vcbool({})",
+    }
+    IDIV = "_vidiv({}, {})"
+    IREM = "_virem({}, {})"
+    FDIV = "_vfdiv({}, {})"
+    FREM = "_vfmod({}, {})"
+    NOT = "_vnot({})"
+    AND = "_vand({}, {})"
+    OR = "_vor({}, {})"
+    USHR_MASK = ("0xFFFFFFFF", None)
+    SELECT = "_vsel({c}, {t}, {o})"
+    EXTRACT = "_vext({v}, {lane})"
+    BUILD = "_vbuild([{elems}], {dtype}, _n{depth})"
+    # _lsz / _gsz / _ngrp are uniform scalars.
+    WORKITEM = dict(
+        _WORKITEM_FUNCS,
+        get_global_id="_G{depth}",
+        get_local_id="_L{depth}",
+        get_group_id="_R{depth}",
+    )
+    SEG_BUMP = "_segc[{seg}] += _n{depth}"
+    PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: one column per item
+    # Eligible kernels never contain these; batch_eligibility says why.
+    PER_ITEM_ONLY = (K.KIf, K.KWhile, K.KBarrier, K.KReturn, K.KBreak, K.KContinue)
+
     def __init__(self, kernel, varying):
-        self.kernel = kernel
+        super().__init__(kernel)
         self.varying = varying
-        self.lines = []
-        self.indent = 1
-        self.temp = 0
-        self.segments = []
-        self.current_segment = None
-        self.sites = {}
-        self.depth = 0
-        self.var_depth = {}
         names = set()
         for stmt in K.walk_stmts(kernel.body):
             for e in K.walk_stmt_exprs(stmt):
@@ -1050,289 +1058,61 @@ class _BatchCodegen:
         self.uses_lid = "get_local_id" in names
         self.uses_grp = "get_group_id" in names
 
-    # -- emission helpers (same shape as _Codegen) --------------------------
-
-    def emit(self, line):
-        self.lines.append("    " * self.indent + line)
-
-    def fresh(self):
-        self.temp += 1
-        return "_t{}".format(self.temp)
-
-    def _segment(self):
-        if self.current_segment is None:
-            seg_id = len(self.segments)
-            self.segments.append(
-                {
-                    "int": 0,
-                    "long": 0,
-                    "fp": 0,
-                    "dp": 0,
-                    "cmp": 0,
-                    "branch": 0,
-                    "trans_f": 0,
-                    "trans_d": 0,
-                }
-            )
-            self.emit("_segc[{}] += _n{}".format(seg_id, self.depth))
-            self.current_segment = self.segments[seg_id]
-        return self.current_segment
-
-    def close_segment(self):
-        self.current_segment = None
-
-    def charge(self, expr):
-        op = _op_class(expr)
-        if op is not None:
-            kind, n = op
-            self._segment()[kind] += n
-
-    def _lanes(self):
-        return "_G{}".format(self.depth)
-
-    # -- expressions --------------------------------------------------------
-
-    def expr(self, e):
-        if isinstance(e, K.KConst):
-            if isinstance(e.value, bool):
-                return "True" if e.value else "False"
-            if isinstance(e.value, float):
-                if e.value != e.value:
-                    return "math.nan"
-                if e.value == float("inf"):
-                    return "math.inf"
-                if e.value == float("-inf"):
-                    return "(-math.inf)"
-            return repr(e.value)
-        if isinstance(e, K.KVar):
-            name = _pyname(e.name)
-            if (
-                self.depth == 1
-                and self.var_depth.get(e.name, 0) == 0
-                and e.name in self.varying
-            ):
-                return "{}[_A1]".format(name)
-            return name
-        if isinstance(e, K.KUn):
-            self.charge(e)
-            operand = self.expr(e.operand)
-            if e.op == "!":
-                return "_vnot({})".format(operand)
-            if e.op == "~":
-                return "(_vi32(~({})))".format(operand)
-            return "({}{})".format(e.op, operand)
-        if isinstance(e, K.KBin):
-            return self._binary(e)
-        if isinstance(e, K.KSelect):
-            self.charge(e)
-            return "_vsel({}, {}, {})".format(
-                self.expr(e.cond), self.expr(e.then), self.expr(e.otherwise)
-            )
-        if isinstance(e, K.KCast):
-            return self._cast(e)
-        if isinstance(e, K.KCall):
-            return self._call(e)
-        if isinstance(e, K.KLoad):
-            return self._load(e)
-        if isinstance(e, K.KVecExtract):
-            return "_vext({}, {})".format(self.expr(e.vec), e.lane)
-        if isinstance(e, K.KVecBuild):
-            elems = ", ".join(self.expr(x) for x in e.elems)
-            return "_vbuild([{}], {}, _n{})".format(
-                elems, _np_dtype(e.ktype.base), self.depth
-            )
-        raise DeviceError(
-            "cannot batch-compile {}".format(type(e).__name__)
-        )
-
-    def _binary(self, e):
-        self.charge(e)
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        op = e.op
-        is_long = isinstance(e.ktype, K.KScalar) and e.ktype.kind == "long"
-        is_int = isinstance(e.ktype, K.KScalar) and e.ktype.kind in (
-            "int",
-            "long",
-            "char",
-        )
-        wrap = "_vi64" if is_long else "_vi32"
-        shift_mask = 63 if is_long else 31
-        if op == "/" and is_int:
-            return "_vidiv({}, {})".format(left, right)
-        if op == "%" and is_int:
-            return "_virem({}, {})".format(left, right)
-        if op == "/" and not isinstance(e.ktype, K.KVector):
-            return "_vfdiv({}, {})".format(left, right)
-        if op in ("*", "+", "-") and is_int:
-            return "{}(({}) {} ({}))".format(wrap, left, op, right)
-        if op == "<<":
-            return "{}(({}) << (({}) & {}))".format(
-                wrap, left, right, shift_mask
-            )
-        if op == ">>":
-            return "(({}) >> (({}) & {}))".format(left, right, shift_mask)
-        if op == ">>>":
-            if is_long:
-                raise DeviceError("64-bit >>> is not batch-compilable")
-            return "((({}) & 0xFFFFFFFF) >> (({}) & {}))".format(
-                left, right, shift_mask
-            )
-        if op == "&&":
-            return "_vand({}, {})".format(left, right)
-        if op == "||":
-            return "_vor({}, {})".format(left, right)
-        return "(({}) {} ({}))".format(left, op, right)
-
-    def _cast(self, e):
-        inner = self.expr(e.expr)
-        if isinstance(e.ktype, K.KScalar):
-            kind = e.ktype.kind
-            if kind == "int":
-                return "_vci32({})".format(inner)
-            if kind == "long":
-                return "_vci64({})".format(inner)
-            if kind == "char":
-                return "_vci8({})".format(inner)
-            if kind == "float":
-                return "_vcf32({})".format(inner)
-            if kind == "double":
-                return "_vcdbl({})".format(inner)
-            if kind == "bool":
-                return "_vcbool({})".format(inner)
-        return inner
-
-    def _call(self, e):
-        if e.name in _WORKITEM_FUNCS:
-            base = _WORKITEM_FUNCS[e.name]
-            if base == "_gid":
-                return self._lanes()
-            if base == "_lid":
-                return "_L{}".format(self.depth)
-            if base == "_grp":
-                return "_R{}".format(self.depth)
-            return base  # _lsz / _gsz / _ngrp are uniform scalars
-        self.charge(e)
-        if e.name in _BATCH_MATH_ONE:
-            return "{}({})".format(
-                _BATCH_MATH_ONE[e.name], self.expr(e.args[0])
-            )
-        if e.name in _BATCH_MATH_TWO:
-            return "{}({}, {})".format(
-                _BATCH_MATH_TWO[e.name],
-                self.expr(e.args[0]),
-                self.expr(e.args[1]),
-            )
-        raise DeviceError("unknown device builtin '{}'".format(e.name))
-
-    def _register_site(self, node, is_store):
-        ktype = node.ktype
-        if isinstance(ktype, K.KVector):
-            elem_bytes = ktype.base.size
-            width = ktype.width
-        else:
-            elem_bytes = ktype.size
-            width = 1
-        self.sites[node.site] = (
-            node.space,
-            elem_bytes,
-            width,
-            is_store,
-            node.array,
-        )
-
-    def _load(self, e):
-        if e.site < 0:
-            raise DeviceError("load without a site id (run assign_sites)")
-        self._register_site(e, is_store=False)
-        index = self.expr(e.index)
-        temp = self.fresh()
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
-        array = _bufname(e.array, e.space)
-        if isinstance(e.ktype, K.KVector):
-            self.emit(
-                "{} = _vload({}, {}, {})".format(
-                    temp, array, idx_var, e.ktype.width
-                )
-            )
-        elif e.space is K.Space.PRIVATE:
-            self.emit(
-                "{} = _pload({}, {}, {})".format(
-                    temp, array, idx_var, self._cols()
-                )
-            )
-            return temp
-        else:
-            self.emit("{} = _gload({}, {})".format(temp, array, idx_var))
-        self.emit(
-            "_tr{}({}, {}, _n{})".format(
-                e.site, self._lanes(), idx_var, self.depth
-            )
-        )
-        return temp
+    def _var(self, name):
+        if (
+            self.depth == 1
+            and self.var_depth.get(name, 0) == 0
+            and name in self.varying
+        ):
+            return "{}[_A1]".format(_pyname(name))
+        return _pyname(name)
 
     def _cols(self):
         # Column selector for private (per-lane) arrays: lane position
         # == global id, so the active-lane index array doubles as it.
         return "_G0" if self.depth == 0 else "_A1"
 
-    # -- statements ---------------------------------------------------------
+    def _read(self, array, idx, ktype, space):
+        if isinstance(ktype, K.KVector):
+            return "_vload({}, {}, {})".format(array, idx, ktype.width)
+        if space is K.Space.PRIVATE:
+            return "_pload({}, {}, {})".format(array, idx, self._cols())
+        return "_gload({}, {})".format(array, idx)
+
+    def _write(self, array, idx, value, ktype, space):
+        if isinstance(ktype, K.KVector):
+            return "_vstore({}, {}, {}, {})".format(array, idx, value, ktype.width)
+        if space is K.Space.PRIVATE:
+            return "_pstore({}, {}, {}, {})".format(array, idx, self._cols(), value)
+        return "_gstore({}, {}, {})".format(array, idx, value)
+
+    def _record(self, site, idx_var):
+        self.emit("_tr{0}(_G{2}, {1}, _n{2})".format(site, idx_var, self.depth))
 
     def stmt(self, s):
-        if isinstance(s, K.KDecl):
-            init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
-            if (
-                self.depth == 0
-                and s.name in self.varying
-                and not isinstance(s.ktype, K.KVector)
-            ):
-                init = "_mat({}, _n0)".format(init)
-            self.emit("{} = {}".format(_pyname(s.name), init))
-            self.var_depth[s.name] = self.depth
-        elif isinstance(s, K.KAssign):
-            rhs = self.expr(s.value)
-            if self.depth == 0 and s.name in self.varying:
-                rhs = "_mat({}, _n0)".format(rhs)
-            self.emit("{} = {}".format(_pyname(s.name), rhs))
-        elif isinstance(s, K.KStore):
-            self._store(s)
-        elif isinstance(s, K.KFor):
-            self._for(s)
-        elif isinstance(s, K.KComment):
-            self.emit("# {}".format(s.text))
-        else:
-            raise DeviceError(
-                "cannot batch-execute {}".format(type(s).__name__)
-            )
+        if isinstance(s, self.PER_ITEM_ONLY):
+            raise DeviceError("cannot batch-execute {}".format(type(s).__name__))
+        super().stmt(s)
+
+    def _bind(self, s, value):
+        # Varying variables outside the stride loop hold one value per lane.
+        if (
+            self.depth == 0
+            and s.name in self.varying
+            and not (isinstance(s, K.KDecl) and isinstance(s.ktype, K.KVector))
+        ):
+            return "_mat({}, _n0)".format(value)
+        return value
 
     def _for(self, s):
-        stride = any(
+        if self.depth == 0 and any(
             _expr_varying(b, self.varying) for b in (s.lo, s.hi, s.step)
-        )
-        if stride and self.depth == 0:
+        ):
             self._stride_loop(s)
-            return
-        # Uniform trip count: a plain (scalar) Python loop, every
-        # active lane marches through it in lockstep.
-        var = _pyname(s.var)
-        self.emit("{} = {}".format(var, self.expr(s.lo)))
-        hi = self.fresh()
-        self.emit("{} = {}".format(hi, self.expr(s.hi)))
-        step = self.fresh()
-        self.emit("{} = {}".format(step, self.expr(s.step)))
-        self.close_segment()
-        self.emit("while {} < {}:".format(var, hi))
-        self.indent += 1
-        self._segment()["cmp"] += 1
-        self._segment()["branch"] += 1
-        self._segment()["int"] += 1  # induction update
-        self.var_depth[s.var] = self.depth
-        for child in s.body:
-            self.stmt(child)
-        self.emit("{} += {}".format(var, step))
-        self.indent -= 1
-        self.close_segment()
+        else:
+            # Uniform trip count: a plain (scalar) Python loop, every
+            # active lane marches through it in lockstep.
+            super()._for(s)
 
     def _stride_loop(self, s):
         var = _pyname(s.var)
@@ -1367,68 +1147,14 @@ class _BatchCodegen:
         self.indent -= 1
         self.close_segment()
 
-    def _store(self, s):
-        if s.site < 0:
-            raise DeviceError("store without a site id (run assign_sites)")
-        self._register_site(s, is_store=True)
-        index = self.expr(s.index)
-        value = self.expr(s.value)
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
-        array = _bufname(s.array, s.space)
-        if isinstance(s.ktype, K.KVector):
-            self.emit(
-                "_vstore({}, {}, {}, {})".format(
-                    array, idx_var, value, s.ktype.width
-                )
-            )
-        elif s.space is K.Space.PRIVATE:
-            self.emit(
-                "_pstore({}, {}, {}, {})".format(
-                    array, idx_var, self._cols(), value
-                )
-            )
-            return
-        else:
-            self.emit("_gstore({}, {}, {})".format(array, idx_var, value))
-        self.emit(
-            "_tr{}({}, {}, _n{})".format(
-                s.site, self._lanes(), idx_var, self.depth
-            )
-        )
-
-    # -- top level ----------------------------------------------------------
-
-    def generate(self):
-        kernel = self.kernel
-        buffer_args = [
-            _bufname(p.name, p.space) for p in kernel.params if p.is_pointer
-        ]
-        scalar_args = [
-            _pyname(p.name) for p in kernel.params if not p.is_pointer
-        ]
-        for arr in kernel.arrays:
-            if arr.space is K.Space.PRIVATE:
-                # Per-lane private storage: one column per work-item.
-                self.emit(
-                    "{} = np.zeros(({}, _gsz), dtype={})".format(
-                        _bufname(arr.name, arr.space),
-                        arr.size,
-                        _np_dtype(arr.ktype),
-                    )
-                )
-        for stmt in kernel.body:
-            self.stmt(stmt)
+    def _finish(self, args):
         trace_args = ["_tr{}".format(site) for site in sorted(self.sites)]
         params = (
             ["_G0", "_L0", "_R0", "_lsz", "_gsz", "_ngrp", "_n0", "_segc"]
-            + buffer_args
-            + scalar_args
+            + args
             + trace_args
         )
-        header = "def _batch({}):".format(", ".join(params))
-        source = [header] + self.lines
-        return "\n".join(source), self.segments, self.sites
+        return "def _batch({}):".format(", ".join(params))
 
 
 # ---------------------------------------------------------------------------
@@ -1603,6 +1329,17 @@ def _vfdiv(a, b):
     if not np.all(np.asarray(b) != 0):
         raise ZeroDivisionError("float division by zero")
     return a / b
+
+
+def _vfmod(a, b):
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return math.fmod(a, b)
+    r = np.fmod(a, b)  # exact, so bit-equal to math.fmod on finite inputs
+    # math.fmod raises where the result is NaN but neither input is: a
+    # zero divisor or an infinite dividend.
+    if np.any(np.isnan(r) & ~np.isnan(a) & ~np.isnan(b)):
+        raise ValueError("math domain error")
+    return r
 
 
 def _vsqrt(x):
@@ -1785,6 +1522,7 @@ _GLOBALS = {
     "_vidiv": _vidiv,
     "_virem": _virem,
     "_vfdiv": _vfdiv,
+    "_vfmod": _vfmod,
     "_vsqrt": _vsqrt,
     "_vrsqrt": _vrsqrt,
     "_vfloor": _vfloor,
@@ -1821,9 +1559,7 @@ class CompiledKernel:
         self.kernel = kernel
         codegen = _Codegen(kernel)
         self.source, self.segments, self.site_meta = codegen.generate()
-        namespace = dict(_GLOBALS)
-        exec(compile(self.source, "<kernel:{}>".format(kernel.name), "exec"), namespace)
-        self._item = namespace["_item"]
+        self._item = _load_source(self.source, kernel.name, "_item")
         _count_codegen()
         # The instrumented (sanitized) variant is compiled lazily — a
         # guard-free launch never even builds it, keeping the fast path
@@ -1878,44 +1614,22 @@ class CompiledKernel:
         self.source = art["source"]
         self.segments = art["segments"]
         self.site_meta = art["site_meta"]
-        namespace = dict(_GLOBALS)
-        exec(
-            compile(
-                self.source,
-                "<kernel:{}:disk>".format(self.kernel.name),
-                "exec",
-            ),
-            namespace,
-        )
-        self._item = namespace["_item"]
+        name = self.kernel.name
+        self._item = _load_source(self.source, name + ":disk", "_item")
         self.sanitized_source = art["sanitized_source"]
         self._sanitized_item_fn = None
         if self.sanitized_source is not None:
-            namespace = dict(_GLOBALS)
-            exec(
-                compile(
-                    self.sanitized_source,
-                    "<kernel:{}:sanitized:disk>".format(self.kernel.name),
-                    "exec",
-                ),
-                namespace,
+            self._sanitized_item_fn = _load_source(
+                self.sanitized_source, name + ":sanitized:disk", "_item"
             )
-            self._sanitized_item_fn = namespace["_item"]
         self.batch_supported = art["batch_supported"]
         self.batch_reason = art["batch_reason"]
         self.batch_source = art["batch_source"]
         self._batch_fn = None
         if self.batch_source is not None:
-            namespace = dict(_GLOBALS)
-            exec(
-                compile(
-                    self.batch_source,
-                    "<kernel:{}:batch:disk>".format(self.kernel.name),
-                    "exec",
-                ),
-                namespace,
+            self._batch_fn = _load_source(
+                self.batch_source, name + ":batch:disk", "_batch"
             )
-            self._batch_fn = namespace["_batch"]
         self._lazy_lock = threading.Lock()
         return self
 
@@ -1927,16 +1641,9 @@ class CompiledKernel:
                 codegen = _Codegen(self.kernel, sanitize=True)
                 source, _segments, _sites = codegen.generate()
                 self.sanitized_source = source
-                namespace = dict(_GLOBALS)
-                exec(
-                    compile(
-                        source,
-                        "<kernel:{}:sanitized>".format(self.kernel.name),
-                        "exec",
-                    ),
-                    namespace,
+                self._sanitized_item_fn = _load_source(
+                    source, self.kernel.name + ":sanitized", "_item"
                 )
-                self._sanitized_item_fn = namespace["_item"]
                 _count_codegen()
         return self._sanitized_item_fn
 
@@ -1974,16 +1681,9 @@ class CompiledKernel:
                     )
                     return None
                 self.batch_source = source
-                namespace = dict(_GLOBALS)
-                exec(
-                    compile(
-                        source,
-                        "<kernel:{}:batch>".format(self.kernel.name),
-                        "exec",
-                    ),
-                    namespace,
+                self._batch_fn = _load_source(
+                    source, self.kernel.name + ":batch", "_batch"
                 )
-                self._batch_fn = namespace["_batch"]
                 _count_codegen()
         return self._batch_fn
 
@@ -2118,7 +1818,11 @@ class CompiledKernel:
                         local_size,
                     )
 
-        local_specs = [a for a in kernel.arrays if a.space is K.Space.LOCAL]
+        local_shapes = [
+            (self._local_size_elems(a, local_size), _np_dtype_of(a))
+            for a in kernel.arrays
+            if a.space is K.Space.LOCAL
+        ]
         n_groups = global_size // local_size
         sorted_sites = sorted(site_traces)
 
@@ -2150,13 +1854,7 @@ class CompiledKernel:
             **extra_span_args,
         ):
             for group in range(n_groups):
-                local_mem = [
-                    np.zeros(
-                        self._local_size_elems(spec, local_size),
-                        _np_dtype_of(spec),
-                    )
-                    for spec in local_specs
-                ]
+                local_mem = [np.zeros(n, dtype) for n, dtype in local_shapes]
                 items = []
                 for lid in range(local_size):
                     gid = index_base + group * local_size + lid
@@ -2306,14 +2004,15 @@ class CompiledKernel:
 
 
 def _np_dtype_of(spec):
-    return {
-        "bool": np.bool_,
-        "char": np.int8,
-        "int": np.int32,
-        "long": np.int64,
-        "float": np.float32,
-        "double": np.float64,
-    }[(spec.ktype.base if isinstance(spec.ktype, K.KVector) else spec.ktype).kind]
+    return getattr(np, _np_dtype(spec.ktype)[len("np."):])
+
+
+def _load_source(source, label, fn_name):
+    """Exec generated kernel source and return its function ``fn_name``;
+    ``label`` names the code object as ``<kernel:label>``."""
+    namespace = dict(_GLOBALS)
+    exec(compile(source, "<kernel:{}>".format(label), "exec"), namespace)
+    return namespace[fn_name]
 
 
 def compile_kernel(kernel):

@@ -257,14 +257,6 @@ class KernelCache:
                 self.evictions += 1
             return entry, kind
 
-    def get_or_compile(self, kernel, options="", sanitizer="", device=""):
-        """Legacy bool-returning lookup (no disk store): ``(entry,
-        in_memory_hit)``."""
-        entry, kind = self.lookup(
-            kernel, options=options, sanitizer=sanitizer, device=device
-        )
-        return entry, kind == "hit"
-
     def clear(self):
         self._entries.clear()
 
@@ -279,10 +271,6 @@ class KernelCache:
 
 
 _GLOBAL_CACHE = KernelCache()
-
-
-def global_kernel_cache():
-    return _GLOBAL_CACHE
 
 
 def reset_global_cache():

@@ -140,9 +140,6 @@ class Interpreter:
             )
         return self._invoke(method, obj, list(args))
 
-    def static_field(self, class_name, field_name):
-        return self._static_fields[(class_name, field_name)]
-
     # -- setup ------------------------------------------------------------------
 
     def _init_statics(self):

@@ -80,10 +80,6 @@ def thaw_array(arr):
     return thawed
 
 
-def is_value_array(arr):
-    return isinstance(arr, np.ndarray) and not arr.flags.writeable
-
-
 def iota(n):
     """``Lime.iota(n)`` — the immutable index array ``[0, 1, ..., n-1]``."""
     arr = np.arange(n, dtype=np.int32)

@@ -413,23 +413,3 @@ class ServeDaemon:
         }
 
 
-def parse_kill_spec(values):
-    """Parse repeated ``DEVICE:AFTER_N`` kill flags into the
-    ``kill_devices`` dict :meth:`ResiliencePolicy.from_flags` expects."""
-    kills = {}
-    for value in values or []:
-        try:
-            device, after = value.rsplit(":", 1)
-            kills[device] = int(after)
-        except ValueError:
-            raise ValueError(
-                "expected DEVICE:AFTER_N, got {!r}".format(value)
-            )
-    return kills
-
-
-def validate_specs(specs):
-    """Fail fast on unknown benchmarks before the daemon starts."""
-    for spec in specs:
-        get_benchmark(spec.benchmark)
-    return specs

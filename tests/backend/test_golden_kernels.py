@@ -1,8 +1,12 @@
-"""Golden snapshots of the generated OpenCL C.
+"""Golden snapshots of the generated OpenCL C and simulator Python.
 
 Every app's map kernel is compiled through the full pipeline and the
 emitted OpenCL C compared byte-for-byte against a checked-in snapshot
-under ``tests/golden/``. Two axes:
+under ``tests/golden/``. The same kernel's simulator sources — the
+per-item, sanitized and batch Python the executor generates (or the
+batch tier's decline reason) — are pinned in a ``.sim.txt`` snapshot
+next to it; the suffix keeps the lint job from reading these bodies
+as Python modules. Two axes:
 
 - the **default** configuration on the GTX 580 for all nine apps, and
 - **device-varied** memory plans (GTX 8800 and HD 5970) for the
@@ -60,43 +64,78 @@ CASES = (
 )
 
 
-def _emit(name, device_name, config_name):
+def _compile(name, device_name, config_name):
     bench = BENCHMARKS[name]
     checked = bench.checked()
     worker = checked.lookup_method(bench.main_class, bench.filter_method)
-    compiled = compile_filter(
+    return compile_filter(
         checked,
         worker,
         device=get_device(device_name),
         config=FIGURE8_CONFIGS[config_name] if config_name else None,
         bound_values={p.name: 4 for p in worker.params[:-1]},
     )
+
+
+def _emit(name, device_name, config_name):
+    compiled = _compile(name, device_name, config_name)
     return emit_opencl(compiled.plan.kernel, local_size_hint=128)
 
 
-def _snapshot_name(name, device, config):
+def _simulator_sources(name, device_name, config_name):
+    """The three Python variants the executor generates for the kernel,
+    as one text: per-item, sanitized, and batch (or why it declined)."""
+    ck = _compile(name, device_name, config_name).compiled_kernel
+    ck._sanitized_item()
+    if ck._batch_callable() is not None:
+        batch = ck.batch_source
+    else:
+        batch = "# declined: {}".format(ck.batch_reason)
+    return "".join(
+        "# --- {} ---\n{}\n".format(label, text)
+        for label, text in (
+            ("per-item", ck.source),
+            ("sanitized", ck.sanitized_source),
+            ("batch", batch),
+        )
+    )
+
+
+def _stem(name, device, config):
     stem = "{}-{}".format(name, device)
     if config:
         stem += "-" + config.lower().replace("+", "-")
-    return stem + ".cl"
+    return stem
 
 
-@pytest.mark.parametrize("name,device,config", CASES)
-def test_golden_opencl(name, device, config):
-    source = _emit(name, device, config)
-    path = GOLDEN_DIR / _snapshot_name(name, device, config)
+def _check_snapshot(text, path, what):
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(source)
+        path.write_text(text)
         return
     assert path.exists(), (
         "missing golden snapshot {} — run with REPRO_UPDATE_GOLDEN=1 "
         "to create it".format(path)
     )
-    expected = path.read_text()
-    assert source == expected, (
-        "generated OpenCL C for {} on {} drifted from {} — if the "
-        "change is intentional, re-bless with REPRO_UPDATE_GOLDEN=1".format(
-            name, device, path.name
-        )
+    assert text == path.read_text(), (
+        "{} drifted from {} — if the change is intentional, re-bless "
+        "with REPRO_UPDATE_GOLDEN=1".format(what, path.name)
+    )
+
+
+@pytest.mark.parametrize("name,device,config", CASES)
+def test_golden_opencl(name, device, config):
+    _check_snapshot(
+        _emit(name, device, config),
+        GOLDEN_DIR / (_stem(name, device, config) + ".cl"),
+        "generated OpenCL C for {} on {}".format(name, device),
+    )
+
+
+@pytest.mark.parametrize("name,device,config", CASES)
+def test_golden_simulator_source(name, device, config):
+    _check_snapshot(
+        _simulator_sources(name, device, config),
+        GOLDEN_DIR / (_stem(name, device, config) + ".sim.txt"),
+        "generated simulator Python for {} on {}".format(name, device),
     )

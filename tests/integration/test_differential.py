@@ -16,6 +16,7 @@ from repro.compiler.pipeline import compile_filter
 from repro.frontend import check_program, parse_program
 from repro.opencl import get_device
 from repro.runtime.interp import Interpreter
+from repro.runtime.profiler import ExecutionProfile
 
 
 @st.composite
@@ -97,6 +98,54 @@ def test_integer_semantics_match_including_wrapping(expr, n):
     )
     out = cf(xs)
     assert np.array_equal(np.asarray(out), np.asarray(expected))
+
+
+UNARY_AND_REM_CASES = [
+    ("long", "~x", [1 << 40]),
+    ("int", "-x", [-(2 ** 31)]),
+    ("long", "-x", [-(2 ** 63)]),
+    ("float", "x % 1.0f", [-1.5]),
+    ("double", "x % 1.0", [-1.5, 2.75]),
+]
+_NP_TYPES = {
+    "int": np.int32,
+    "long": np.int64,
+    "float": np.float32,
+    "double": np.float64,
+}
+
+
+@pytest.mark.parametrize("tier", ["per-item", "batch"])
+@pytest.mark.parametrize("ltype,expr,inputs", UNARY_AND_REM_CASES)
+def test_unary_wrap_and_float_rem_match_interpreter(
+    monkeypatch, tier, ltype, expr, inputs
+):
+    """Integer ``-``/``~`` wrap at their own width and float ``%`` is
+    C's ``fmod`` on both execution tiers, bit for bit."""
+    monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+    checked = check_program(
+        parse_program(
+            "class G {{"
+            " static local {t} f({t} x) {{ return {e}; }}"
+            " static local {t}[[]] m({t}[[]] xs) {{ return G.f @ xs; }}"
+            " }}".format(t=ltype, e=expr)
+        )
+    )
+    xs = np.array(inputs, dtype=_NP_TYPES[ltype])
+    xs.setflags(write=False)
+    expected = np.asarray(Interpreter(checked).call_static("G", "m", [xs]))
+    profile = ExecutionProfile()
+    cf = compile_filter(
+        checked,
+        checked.lookup_method("G", "m"),
+        device=get_device("gtx580"),
+        local_size=8,
+        profile=profile,
+    )
+    out = np.asarray(cf(xs))
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes(), (out, expected)
+    assert profile.tier_launches == {tier: 1}
 
 
 @given(st.sampled_from(sorted(FIGURE8_CONFIGS)), st.integers(3, 40))

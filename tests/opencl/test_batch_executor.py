@@ -15,6 +15,8 @@ tiling. These tests pin down both sides of that contract:
   errors.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.errors import BoundsFault, DeviceError
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.executor import (
     EXEC_TIER_ENV,
+    _vfmod,
     batch_eligibility,
     compile_kernel,
     resolve_exec_tier,
@@ -238,6 +241,23 @@ def test_unguarded_oob_is_a_device_error_on_both_tiers():
         buffers, scalars = _saxpy_buffers()
         with pytest.raises(DeviceError):
             ck.launch(buffers, scalars, 8, 4, tier=tier)
+
+
+def test_vfmod_matches_math_fmod_lane_for_lane():
+    inf, nan = math.inf, math.nan
+    a = np.array([-1.5, 1.5, -0.0, 7.25, 1e300, nan, 3.0, nan])
+    b = np.array([1.0, -1.0, 2.0, inf, 3e-7, 0.0, nan, nan])
+    got = _vfmod(a, b)
+    want = np.array([math.fmod(x, y) for x, y in zip(a, b)])
+    assert got.tobytes() == want.tobytes()
+    assert _vfmod(-1.5, 1.0) == math.fmod(-1.5, 1.0)
+
+
+@pytest.mark.parametrize("a,b", [([1.0, 2.0], [1.0, 0.0]), ([math.inf], 2.0)])
+def test_vfmod_raises_where_math_fmod_does(a, b):
+    # Launches run under np.errstate(all="ignore"); so does this call.
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        _vfmod(np.array(a), b)
 
 
 # -- tier resolution -----------------------------------------------------

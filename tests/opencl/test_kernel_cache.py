@@ -74,10 +74,10 @@ class TestFingerprint:
 class TestCacheBehavior:
     def test_second_compile_is_a_hit_without_codegen(self):
         cache = KernelCache()
-        first, hit1 = cache.get_or_compile(make_kernel())
+        first, kind1 = cache.lookup(make_kernel())
         before = codegen_compiles()
-        second, hit2 = cache.get_or_compile(make_kernel())
-        assert (hit1, hit2) == (False, True)
+        second, kind2 = cache.lookup(make_kernel())
+        assert (kind1 == "hit", kind2 == "hit") == (False, True)
         assert second is first
         # The acceptance check: a cache hit runs no codegen at all.
         assert codegen_compiles() == before
@@ -86,46 +86,44 @@ class TestCacheBehavior:
         # Regression: a warm cache must not serve the uninstrumented
         # artifact once --sanitize is toggled on (or vice versa).
         cache = KernelCache()
-        plain, _ = cache.get_or_compile(make_kernel(), sanitizer="none")
-        sanitized, hit = cache.get_or_compile(
+        plain, _ = cache.lookup(make_kernel(), sanitizer="none")
+        sanitized, kind = cache.lookup(
             make_kernel(), sanitizer=sanitizer_key(SanitizerConfig())
         )
-        assert not hit
+        assert kind != "hit"
         assert sanitized is not plain
         # And back again still hits the original entry.
-        _, hit = cache.get_or_compile(make_kernel(), sanitizer="none")
-        assert hit
+        _, kind = cache.lookup(make_kernel(), sanitizer="none")
+        assert kind == "hit"
 
     def test_compiler_options_are_part_of_the_key(self):
         cache = KernelCache()
         config = OptimizationConfig()
-        cache.get_or_compile(make_kernel(), options=config.describe())
+        cache.lookup(make_kernel(), options=config.describe())
         from dataclasses import replace
 
         toggled = replace(config, use_local=False)
-        _, hit = cache.get_or_compile(
-            make_kernel(), options=toggled.describe()
-        )
-        assert not hit
+        _, kind = cache.lookup(make_kernel(), options=toggled.describe())
+        assert kind != "hit"
         assert cache.stats()["misses"] == 2
 
     def test_device_is_part_of_the_key(self):
         cache = KernelCache()
-        cache.get_or_compile(make_kernel(), device="gtx580")
-        _, hit = cache.get_or_compile(make_kernel(), device="hd5970")
-        assert not hit
+        cache.lookup(make_kernel(), device="gtx580")
+        _, kind = cache.lookup(make_kernel(), device="hd5970")
+        assert kind != "hit"
 
     def test_lru_eviction_is_bounded(self):
         cache = KernelCache(capacity=4)
         for i in range(10):
-            cache.get_or_compile(make_kernel(const=i))
+            cache.lookup(make_kernel(const=i))
         assert len(cache) == 4
         assert cache.stats()["evictions"] == 6
         # Most-recent entries survive; the oldest were evicted.
-        _, hit = cache.get_or_compile(make_kernel(const=9))
-        assert hit
-        _, hit = cache.get_or_compile(make_kernel(const=0))
-        assert not hit
+        _, kind = cache.lookup(make_kernel(const=9))
+        assert kind == "hit"
+        _, kind = cache.lookup(make_kernel(const=0))
+        assert kind != "hit"
 
 
 class TestSanitizerKey:
