@@ -738,7 +738,7 @@ class CompiledFilter:
             "opencl_setup", setup_ns, cat="stage", buffers=len(buffers)
         )
         self.profile.kernel_launches += 1
-        self.profile.record_tier(trace.tier)
+        self.profile.record_tier(trace.tier, trace.declined)
         self.profile.metrics.histogram("kernel.launch_ns").observe(
             timing.kernel_ns
         )
@@ -753,12 +753,14 @@ class CompiledFilter:
         group-level structure (barriers, local-memory tiling): chunk
         launches offset the global id via ``index_base``, which keeps
         absolute indexing (iota values, spill rows) correct but changes
-        group shapes. ``batch_supported`` is exactly that conservative
-        eligibility bit."""
+        group shapes. It is further limited, conservatively, to kernels
+        the batch tier accepts."""
+        ck = self.compiled_kernel
         return (
             self.plan is not None
             and n >= 2
-            and bool(self.compiled_kernel.batch_supported)
+            and not ck.group_shaped
+            and bool(ck.batch_supported)
         )
 
     def _partitioned_launch(
@@ -905,7 +907,7 @@ class CompiledFilter:
         stages.opencl_setup += setup_ns
         sink.charge("opencl_setup", setup_ns, cat="stage", buffers=2)
         self.profile.kernel_launches += 1
-        self.profile.record_tier(trace.tier)
+        self.profile.record_tier(trace.tier, trace.declined)
         self.profile.metrics.histogram("kernel.launch_ns").observe(
             timing.kernel_ns
         )

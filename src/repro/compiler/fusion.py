@@ -43,8 +43,8 @@ param_collision     (kernel) two chained workers bind a parameter of the
                     same name — the merged worker cannot hold both
 barrier             (kernel) a member kernel needs barrier synchronization
                     or local-memory tiling (work-group shape must not change)
-divergence          (kernel) a member kernel is ineligible for re-shaping
-                    for another structural reason (divergent branch, …)
+divergence          (kernel) a member kernel is batch-ineligible for
+                    another structural reason (image loads, …)
 rejected            (kernel) composite lowering itself refused the chain
 ==================  =========================================================
 
@@ -555,10 +555,9 @@ class FusionPlanner:
             if filt.plan is None or filt.reduce_kernel is not None:
                 return "consumer_reduce"
             compiled = filt.compiled_kernel
+            if compiled.group_shaped:
+                return "barrier"
             if not compiled.batch_supported:
-                reason = compiled.batch_reason or ""
-                if "barrier" in reason or "local-memory" in reason:
-                    return "barrier"
                 return "divergence"
         # Structural checks — rate match, scalar seam, gathers, merged
         # parameter collisions — are re-derived from the worker shapes

@@ -19,9 +19,8 @@ Results are written as ``BENCH_executor.json`` (see
 ``benchmarks/perf/``), which CI's perf-smoke job gates on: the batch
 tier must not be slower than per-item on any eligible kernel.
 
-By default the benchmark compiles with ``use_local=False`` so that
-local-memory tiling does not exclude the compute-heavy apps from the
-batch tier (the tier declines kernels with barriers or LOCAL arrays);
+By default the benchmark compiles with ``use_local=False``, the flat
+grid-stride kernels its committed numbers were first measured on;
 ``config=None`` on the entry points means "nolocal", not the compiler
 default.
 """

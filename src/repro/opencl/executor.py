@@ -77,7 +77,8 @@ def resolve_exec_tier(explicit=None):
 # treated as a cache miss, never deserialized. Version 2: per-item
 # sources record accesses through paired _tl<site>/_ti<site> appends.
 # Version 3: integer unary -/~ wrap by type and float % is fmod.
-DISK_ARTIFACT_VERSION = 3
+# Version 4: local-memory and barrier kernels get a batch source.
+DISK_ARTIFACT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,7 @@ class LaunchTrace:
         self.global_size = global_size
         self.local_size = local_size
         self.tier = "per-item"  # which execution tier ran this launch
+        self.declined = None  # why a batch request ran per-item, if it did
         self.op_cycles = dict.fromkeys(_OP_KINDS, 0)
         self.sites = {}
         self.barriers = 0
@@ -297,9 +299,9 @@ class _Codegen:
     both modes, so instrumented launches report the same profile.
 
     :class:`_BatchCodegen` reuses this walk and overrides only how
-    things are spelled: the class constants below and the one-line
-    hooks ``_var``, ``_read``, ``_write``, ``_record``, ``_bind`` and
-    ``_finish``.
+    things are spelled: the class constants below and the hooks
+    ``_var``, ``_read``, ``_write``, ``_record``, ``_bind``, ``_if``,
+    ``_barrier``, ``_for`` and ``_finish``.
     """
 
     # Spellings. Templates take positional operands, or the named
@@ -553,14 +555,7 @@ class _Codegen:
         elif isinstance(s, K.KStore):
             self._store(s)
         elif isinstance(s, K.KIf):
-            self._segment()["branch"] += 1
-            cond = self.expr(s.cond)
-            self.emit("if {}:".format(cond))
-            self._block(s.then)
-            if s.otherwise:
-                self.emit("else:")
-                self._block(s.otherwise)
-            self.close_segment()
+            self._if(s)
         elif isinstance(s, K.KFor):
             self._for(s)
         elif isinstance(s, K.KWhile):
@@ -578,9 +573,7 @@ class _Codegen:
             self.indent -= 1
             self.close_segment()
         elif isinstance(s, K.KBarrier):
-            self.has_barrier = True
-            self.emit("yield 0")
-            self.close_segment()
+            self._barrier(s)
         elif isinstance(s, K.KReturn):
             self.emit("return")
             self.close_segment()
@@ -603,6 +596,22 @@ class _Codegen:
     def _bind(self, s, value):
         """The value a declaration or assignment stores."""
         return value
+
+    def _if(self, s):
+        self._segment()["branch"] += 1
+        cond = self.expr(s.cond)
+        self.emit("if {}:".format(cond))
+        self._block(s.then)
+        if s.otherwise:
+            self.emit("else:")
+            self._block(s.otherwise)
+        self.close_segment()
+
+    def _barrier(self, s):
+        # The scheduler resumes every item of the work-group in lockstep.
+        self.has_barrier = True
+        self.emit("yield 0")
+        self.close_segment()
 
     def _for(self, s):
         var = _pyname(s.var)
@@ -780,16 +789,28 @@ def _zero(ktype):
 # Batch (whole-ndrange vectorized) tier
 # ---------------------------------------------------------------------------
 #
-# For branch-free, barrier-free kernels — the Figure 4 grid-stride shape
-# every generated map kernel takes — the whole index space can execute
-# as NumPy array expressions: one array op per IR node instead of one
-# Python bytecode walk per node *per work-item*. The lowering keeps bit
-# identity with the per-item tier (NaN-safe): integers compute in int64
-# with the same explicit 32/64-bit wraps, floats compute in float64 and
-# round at float32 stores/casts, and the transcendentals NumPy does not
-# evaluate bit-identically to libm (tan/exp/log/pow/atan2/hypot) run
-# element-wise through ``math``. Kernels using barriers, local memory,
-# data-dependent inner loops, divergent branches, or division on a
+# The whole index space executes as NumPy array expressions: one array
+# op per IR node instead of one Python bytecode walk per node *per
+# work-item*. That covers the Figure 4 grid-stride shape every generated
+# map kernel takes and the paper's default local-memory tiling. Each
+# statement runs for every active lane before the next one starts, so:
+#
+# - a barrier reached in uniform control flow is already satisfied (all
+#   lanes finished the phase before it); the code only counts the hit;
+# - a local array holds one column per work-group, selected by the
+#   lanes' group ids, as a private array holds one column per lane;
+# - a divergent top-level ``if`` runs each arm at depth 1 on the lanes
+#   its mask selects, like one grid-stride iteration.
+#
+# This assumes no cross-lane race inside one barrier phase (undefined
+# in OpenCL; the sanitizer reports it). The lowering keeps bit identity
+# with the per-item tier (NaN-safe): integers compute in int64 with the
+# same explicit 32/64-bit wraps, floats compute in float64 and round at
+# float32 stores/casts, and the transcendentals NumPy does not evaluate
+# bit-identically to libm (tan/exp/log/pow/atan2/hypot) run element-wise
+# through ``math``. Kernels with a barrier under divergent control,
+# nested divergent branches, assignments in a branch to an outer
+# variable, data-dependent inner loops, or division on a
 # lazily-evaluated path decline the batch tier and fall back per-item.
 
 _VARYING_WORKITEM = frozenset(
@@ -914,8 +935,7 @@ def _check_batch_expr(e, varying, lazy):
         for a in e.args:
             _check_batch_expr(a, varying, lazy)
     elif isinstance(e, K.KLoad):
-        if isinstance(e.ktype, K.KVector) and e.space is K.Space.PRIVATE:
-            raise _Ineligible("vector access to a private array")
+        _check_vector_access(e)
         if lazy:
             raise _Ineligible("memory access on a lazily-evaluated path")
         _check_batch_expr(e.index, varying, lazy)
@@ -926,35 +946,48 @@ def _check_batch_expr(e, varying, lazy):
             _check_batch_expr(x, varying, lazy)
 
 
-def _check_batch_stmts(stmts, varying, depth, declared, in_loop):
+def _check_batch_stmts(stmts, varying, depth, declared, in_loop, in_branch=False):
+    """``depth`` 1 is divergent control: inside the grid-stride loop or
+    an arm of a divergent ``if``, where only some lanes are active."""
     for s in stmts:
-        if isinstance(s, K.KBarrier):
-            raise _Ineligible("barrier synchronization")
+        if isinstance(s, K.KBarrier) and depth > 0:
+            raise _Ineligible("barrier under divergent control")
         if isinstance(s, K.KWhile):
             raise _Ineligible("data-dependent while loop")
-        if isinstance(s, K.KIf):
-            raise _Ineligible("divergent branch")
         if isinstance(s, (K.KBreak, K.KContinue, K.KReturn)):
             raise _Ineligible("loop control jump")
-        if isinstance(s, K.KDecl):
-            if s.init is not None:
-                _check_batch_expr(s.init, varying, False)
-            if (
-                depth == 0
-                and s.name in varying
-                and isinstance(s.ktype, K.KVector)
-            ):
-                raise _Ineligible("varying vector variable at top level")
-            declared[s.name] = depth
-        elif isinstance(s, K.KAssign):
-            _check_batch_expr(s.value, varying, False)
-            if declared.get(s.name, 0) < depth and s.name in varying:
+        if isinstance(s, K.KIf):
+            _check_batch_expr(s.cond, varying, False)
+            if not _expr_varying(s.cond, varying):
+                # Uniform: every active lane takes the same arm.
+                for arm in (s.then, s.otherwise):
+                    _check_batch_stmts(
+                        arm, varying, depth, declared, in_loop, in_branch
+                    )
+                continue
+            if depth > 0:
+                raise _Ineligible("nested divergent branch")
+            # A masked arm: its lanes run it at depth 1.
+            for arm in (s.then, s.otherwise):
+                _check_batch_stmts(arm, varying, 1, dict(declared), in_loop, True)
+        elif isinstance(s, (K.KDecl, K.KAssign)):
+            is_decl = isinstance(s, K.KDecl)
+            value = s.init if is_decl else s.value
+            if value is not None:
+                _check_batch_expr(value, varying, False)
+            # Generated code has one flat namespace per kernel, so
+            # re-declaring an outer name assigns to it.
+            outer = declared.get(s.name, depth if is_decl else 0) < depth
+            if outer and in_branch:
+                raise _Ineligible("assignment in a branch to an outer variable")
+            if outer and s.name in varying:
                 raise _Ineligible(
                     "cross-iteration assignment to an outer variable"
                 )
+            if is_decl:
+                declared[s.name] = depth
         elif isinstance(s, K.KStore):
-            if isinstance(s.ktype, K.KVector) and s.space is K.Space.PRIVATE:
-                raise _Ineligible("vector access to a private array")
+            _check_vector_access(s)
             _check_batch_expr(s.index, varying, False)
             _check_batch_expr(s.value, varying, False)
         elif isinstance(s, K.KFor):
@@ -973,9 +1006,19 @@ def _check_batch_stmts(stmts, varying, depth, declared, in_loop):
                 _check_batch_stmts(s.body, varying, 1, inner, True)
             else:
                 declared[s.var] = depth
-                _check_batch_stmts(s.body, varying, depth, declared, True)
+                _check_batch_stmts(
+                    s.body, varying, depth, declared, True, in_branch
+                )
         elif isinstance(s, K.KComment):
             pass
+
+
+def _check_vector_access(node):
+    if isinstance(node.ktype, K.KVector):
+        if node.space is K.Space.PRIVATE:
+            raise _Ineligible("vector access to a private array")
+        if node.space is K.Space.LOCAL:
+            raise _Ineligible("vector access to a local array")
 
 
 def batch_eligibility(kernel):
@@ -984,8 +1027,6 @@ def batch_eligibility(kernel):
     Returns ``(True, "")`` or ``(False, reason)``.
     """
     for arr in kernel.arrays:
-        if arr.space is K.Space.LOCAL:
-            return False, "local-memory tiling"
         if isinstance(arr.ktype, K.KVector) and arr.space is K.Space.PRIVATE:
             return False, "vector private array"
     varying = _varying_vars(kernel)
@@ -1008,8 +1049,9 @@ class _BatchCodegen(_Codegen):
     - at depth 0 (outside the grid-stride loop) every lane is active;
       varying values are full-length arrays aligned to ``_G0``
       (= ``arange(global_size)``);
-    - inside the stride loop (depth 1) the active set is ``_A1`` (the
-      lanes whose induction value is still below the bound); varying
+    - inside the stride loop or an arm of a divergent ``if`` (depth 1)
+      the active set is ``_A1`` (the lanes whose induction value is
+      still below the bound, or that the arm's mask selects); varying
       values are arrays aligned to it, and reads of varying variables
       declared outside re-align via ``[_A1]``.
     """
@@ -1045,7 +1087,7 @@ class _BatchCodegen(_Codegen):
     SEG_BUMP = "_segc[{seg}] += _n{depth}"
     PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: one column per item
     # Eligible kernels never contain these; batch_eligibility says why.
-    PER_ITEM_ONLY = (K.KIf, K.KWhile, K.KBarrier, K.KReturn, K.KBreak, K.KContinue)
+    PER_ITEM_ONLY = (K.KWhile, K.KReturn, K.KBreak, K.KContinue)
 
     def __init__(self, kernel, varying):
         super().__init__(kernel)
@@ -1055,8 +1097,12 @@ class _BatchCodegen(_Codegen):
             for e in K.walk_stmt_exprs(stmt):
                 if isinstance(e, K.KCall):
                     names.add(e.name)
+        self.local_arrays = [
+            a for a in kernel.arrays if a.space is K.Space.LOCAL
+        ]
         self.uses_lid = "get_local_id" in names
-        self.uses_grp = "get_group_id" in names
+        # Local arrays select their work-group's column by group id.
+        self.uses_grp = "get_group_id" in names or bool(self.local_arrays)
 
     def _var(self, name):
         if (
@@ -1067,23 +1113,28 @@ class _BatchCodegen(_Codegen):
             return "{}[_A1]".format(_pyname(name))
         return _pyname(name)
 
-    def _cols(self):
-        # Column selector for private (per-lane) arrays: lane position
-        # == global id, so the active-lane index array doubles as it.
+    def _cols(self, space):
+        """Column selector of a per-lane (private) or per-group (local)
+        array. Lane position == global id, so the active-lane index
+        array doubles as the private one."""
+        if space is K.Space.LOCAL:
+            return "_R{}".format(self.depth)
         return "_G0" if self.depth == 0 else "_A1"
 
     def _read(self, array, idx, ktype, space):
         if isinstance(ktype, K.KVector):
             return "_vload({}, {}, {})".format(array, idx, ktype.width)
-        if space is K.Space.PRIVATE:
-            return "_pload({}, {}, {})".format(array, idx, self._cols())
+        if space in (K.Space.PRIVATE, K.Space.LOCAL):
+            return "_pload({}, {}, {})".format(array, idx, self._cols(space))
         return "_gload({}, {})".format(array, idx)
 
     def _write(self, array, idx, value, ktype, space):
         if isinstance(ktype, K.KVector):
             return "_vstore({}, {}, {}, {})".format(array, idx, value, ktype.width)
-        if space is K.Space.PRIVATE:
-            return "_pstore({}, {}, {}, {})".format(array, idx, self._cols(), value)
+        if space in (K.Space.PRIVATE, K.Space.LOCAL):
+            return "_pstore({}, {}, {}, {})".format(
+                array, idx, self._cols(space), value
+            )
         return "_gstore({}, {}, {})".format(array, idx, value)
 
     def _record(self, site, idx_var):
@@ -1095,14 +1146,58 @@ class _BatchCodegen(_Codegen):
         super().stmt(s)
 
     def _bind(self, s, value):
-        # Varying variables outside the stride loop hold one value per lane.
-        if (
-            self.depth == 0
-            and s.name in self.varying
-            and not (isinstance(s, K.KDecl) and isinstance(s.ktype, K.KVector))
-        ):
+        # Varying variables at depth 0 hold one value (vector: one row)
+        # per lane.
+        if self.depth == 0 and s.name in self.varying:
+            ktype = s.ktype if isinstance(s, K.KDecl) else s.value.ktype
+            if isinstance(ktype, K.KVector):
+                return "_vmat({}, _n0)".format(value)
             return "_mat({}, _n0)".format(value)
         return value
+
+    def _if(self, s):
+        if not _expr_varying(s.cond, self.varying):
+            super()._if(s)  # uniform: a plain Python if
+            return
+        # Divergent (only at depth 0): each arm runs at depth 1 on the
+        # lanes its mask selects.
+        self._segment()["branch"] += 1
+        mask = self.fresh()
+        self.emit("{} = _mat({}, _n0)".format(mask, self.expr(s.cond)))
+        self._arm(s.then, "np.nonzero({})[0]".format(mask))
+        if s.otherwise:
+            self._arm(s.otherwise, "np.nonzero(np.logical_not({}))[0]".format(mask))
+        self.close_segment()
+
+    def _arm(self, stmts, lanes):
+        self.close_segment()
+        self.emit("_A1 = {}".format(lanes))
+        self.emit("if _A1.size:")
+        self.indent += 1
+        self._enter_lanes()
+        self.depth = 1
+        for child in stmts:
+            self.stmt(child)
+        self.depth = 0
+        self.indent -= 1
+        self.close_segment()
+
+    def _enter_lanes(self):
+        """Bind the depth-1 work-item arrays to the active lanes ``_A1``."""
+        self.emit("_n1 = _A1.size")
+        self.emit("_G1 = _G0[_A1]")
+        if self.uses_lid:
+            self.emit("_L1 = _L0[_A1]")
+        if self.uses_grp:
+            self.emit("_R1 = _R0[_A1]")
+
+    def _barrier(self, s):
+        # Every statement runs for all lanes before the next one starts,
+        # so a barrier in uniform control flow is already satisfied: only
+        # count it (per lane; the launch multiplies by the group count).
+        self.has_barrier = True
+        self.emit("_nbar[0] += 1")
+        self.close_segment()
 
     def _for(self, s):
         if self.depth == 0 and any(
@@ -1128,12 +1223,7 @@ class _BatchCodegen(_Codegen):
         self.emit("_A1 = np.nonzero(_cur < {})[0]".format(hi))
         self.emit("if _A1.size == 0:")
         self.emit("    break")
-        self.emit("_n1 = _A1.size")
-        self.emit("_G1 = _G0[_A1]")
-        if self.uses_lid:
-            self.emit("_L1 = _L0[_A1]")
-        if self.uses_grp:
-            self.emit("_R1 = _R0[_A1]")
+        self._enter_lanes()
         self.emit("{} = _cur[_A1]".format(var))
         self.depth = 1
         self._segment()["cmp"] += 1
@@ -1148,10 +1238,13 @@ class _BatchCodegen(_Codegen):
         self.close_segment()
 
     def _finish(self, args):
+        local_args = [_bufname(a.name, a.space) for a in self.local_arrays]
         trace_args = ["_tr{}".format(site) for site in sorted(self.sites)]
         params = (
             ["_G0", "_L0", "_R0", "_lsz", "_gsz", "_ngrp", "_n0", "_segc"]
             + args
+            + local_args
+            + (["_nbar"] if self.has_barrier else [])
             + trace_args
         )
         return "def _batch({}):".format(", ".join(params))
@@ -1211,6 +1304,14 @@ def _mat(x, n):
     if isinstance(x, np.ndarray):
         return x
     return np.broadcast_to(np.asarray(x), (n,))
+
+
+def _vmat(x, n):
+    """Materialize a vector value as one row per lane."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        return x
+    return np.broadcast_to(x, (n, x.shape[0]))
 
 
 def _vi32(x):
@@ -1505,6 +1606,7 @@ _GLOBALS = {
     "abs": abs,
     # batch-tier helpers
     "_mat": _mat,
+    "_vmat": _vmat,
     "_vi32": _vi32,
     "_vi64": _vi64,
     "_vci32": _vci32,
@@ -1561,6 +1663,7 @@ class CompiledKernel:
         self.source, self.segments, self.site_meta = codegen.generate()
         self._item = _load_source(self.source, kernel.name, "_item")
         _count_codegen()
+        self._derive_shape()
         # The instrumented (sanitized) variant is compiled lazily — a
         # guard-free launch never even builds it, keeping the fast path
         # byte-for-byte identical to the seed.
@@ -1614,6 +1717,7 @@ class CompiledKernel:
         self.source = art["source"]
         self.segments = art["segments"]
         self.site_meta = art["site_meta"]
+        self._derive_shape()
         name = self.kernel.name
         self._item = _load_source(self.source, name + ":disk", "_item")
         self.sanitized_source = art["sanitized_source"]
@@ -1632,6 +1736,18 @@ class CompiledKernel:
             )
         self._lazy_lock = threading.Lock()
         return self
+
+    def _derive_shape(self):
+        """``group_shaped``: the kernel depends on its work-group shape
+        (a barrier or a local array), so it must never be split into
+        offset launches or fused."""
+        kernel = self.kernel
+        self.has_barrier = any(
+            isinstance(s, K.KBarrier) for s in K.walk_stmts(kernel.body)
+        )
+        self.group_shaped = self.has_barrier or any(
+            a.space is K.Space.LOCAL for a in kernel.arrays
+        )
 
     def _sanitized_item(self):
         if self._sanitized_item_fn is None:
@@ -1817,12 +1933,9 @@ class CompiledKernel:
                         global_size,
                         local_size,
                     )
+            trace.declined = self.batch_reason
 
-        local_shapes = [
-            (self._local_size_elems(a, local_size), _np_dtype_of(a))
-            for a in kernel.arrays
-            if a.space is K.Space.LOCAL
-        ]
+        local_shapes = self._local_shapes(local_size)
         n_groups = global_size // local_size
         sorted_sites = sorted(site_traces)
 
@@ -1931,6 +2044,15 @@ class CompiledKernel:
         lids = lanes % local_size
         groups = lanes // local_size
         n_groups = global_size // local_size
+        # Local arrays (one column per work-group), then the barrier
+        # hit counter of a kernel that has barriers.
+        group_args = [
+            np.zeros((n, n_groups), dtype)
+            for n, dtype in self._local_shapes(local_size)
+        ]
+        barrier_hits = [0]
+        if self.has_barrier:
+            group_args.append(barrier_hits)
         appenders = [site_traces[s].append_block for s in sorted(site_traces)]
         try:
             with np.errstate(all="ignore"):
@@ -1945,6 +2067,7 @@ class CompiledKernel:
                     seg_counts,
                     *buffer_args,
                     *scalar_args,
+                    *group_args,
                     *appenders,
                 )
         except IndexError as err:
@@ -1957,6 +2080,9 @@ class CompiledKernel:
             for kind, ops in self.segments[seg_id].items():
                 trace.op_cycles[kind] += ops * int(count)
         trace.sites = site_traces
+        # Every lane reached each barrier: the per-item scheduler's
+        # count is one phase per barrier per work-group.
+        trace.barriers = barrier_hits[0] * n_groups
         return trace
 
     def _make_checkers(self, guard, sorted_sites, buffers, local_size):
@@ -1989,6 +2115,14 @@ class CompiledKernel:
                 guard.make_checker(site, space, width, array, limits, is_float)
             )
         return checkers
+
+    def _local_shapes(self, local_size):
+        """``(elements, dtype)`` of each local array, in parameter order."""
+        return [
+            (self._local_size_elems(a, local_size), _np_dtype_of(a))
+            for a in self.kernel.arrays
+            if a.space is K.Space.LOCAL
+        ]
 
     @staticmethod
     def _local_size_elems(spec, local_size):

@@ -9,6 +9,7 @@ nanoseconds.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.runtime.cost import StageTimes
@@ -460,6 +461,16 @@ def render_failure_summary(summary):
     return "\n".join(lines)
 
 
+# Counters of auto/batch launches the batch tier declined, by reason.
+DECLINED_PREFIX = "executor.batch_declined."
+
+
+def _slug(reason):
+    """A decline reason as a metric-name segment: ``image loads`` ->
+    ``image-loads``."""
+    return re.sub(r"[^a-z0-9]+", "-", reason.lower()).strip("-")
+
+
 def render_executor_summary(summary):
     """The single canonical text rendering of executor-tier and
     kernel-cache counters, keyed by the canonical metric names."""
@@ -474,6 +485,12 @@ def render_executor_summary(summary):
     parts = [
         "launches.{}={}".format(tier, count)
         for tier, count in sorted(tiers.items())
+    ]
+    parts += [
+        "batch_declined.{}={}".format(reason, count)
+        for reason, count in sorted(
+            (summary.get("executor.batch_declined") or {}).items()
+        )
     ]
     parts.append("cache.hits={}".format(hits))
     if disk_hits:
@@ -505,10 +522,13 @@ class ExecutionProfile:
         self.cache_disk_hits = 0
         self.cache_misses = 0
 
-    def record_tier(self, tier):
-        """Count one kernel launch against the tier that executed it."""
+    def record_tier(self, tier, declined=None):
+        """Count one kernel launch against the tier that executed it;
+        ``declined`` is why a batch request ran per-item, if it did."""
         self.tier_launches[tier] = self.tier_launches.get(tier, 0) + 1
         self.metrics.inc("executor.launches.{}".format(tier))
+        if declined:
+            self.metrics.inc(DECLINED_PREFIX + _slug(declined))
 
     def record_cache(self, hit):
         """Count one kernel-cache lookup. ``hit`` is either the legacy
@@ -537,8 +557,14 @@ class ExecutionProfile:
         canonical metric names (the pre-tracing ``tiers`` /
         ``cache_hits`` / ``cache_misses`` aliases completed their
         one-release deprecation and are gone)."""
+        declined = {
+            name[len(DECLINED_PREFIX):]: self.metrics.get(name)
+            for name in self.metrics.names()
+            if name.startswith(DECLINED_PREFIX)
+        }
         return {
             "executor.launches": dict(sorted(self.tier_launches.items())),
+            "executor.batch_declined": declined,
             "cache.hits": self.cache_hits,
             "cache.disk_hits": self.cache_disk_hits,
             "cache.misses": self.cache_misses,

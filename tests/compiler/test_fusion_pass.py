@@ -197,9 +197,10 @@ def test_spec_rejects_param_collision(checked):
 
 
 class _StubKernel:
-    def __init__(self, supported=True, reason=None):
+    def __init__(self, supported=True, reason=None, group_shaped=False):
         self.batch_supported = supported
         self.batch_reason = reason
+        self.group_shaped = group_shaped
 
 
 class _StubFilter:
@@ -266,7 +267,7 @@ def test_kernel_barrier_decline(planner, checked):
         planner,
         method(checked, "damp"),
         _StubFilter(
-            compiled=_StubKernel(False, "uses local-memory tiling")
+            compiled=_StubKernel(group_shaped=True)
         ),
     )
     assert planner._kernel_reason(good, tiled) == "barrier"

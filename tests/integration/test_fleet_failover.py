@@ -188,3 +188,20 @@ def test_oom_in_a_fleet_partitions_on_the_placed_device():
     assert squeezed.checksum == clean.checksum
     assert squeezed.faults["recovery.partitioned_launches"] > 0
     assert squeezed.faults["recovery.fallbacks"] == 0
+
+
+def test_oom_never_partitions_a_group_shaped_kernel():
+    # parboil-cp's default kernel tiles through local memory behind
+    # barriers; it runs on the batch tier, but offset chunk launches
+    # would change its work-group shapes. The OOM must demote the task
+    # instead of splitting the NDRange.
+    policy = ResiliencePolicy.from_flags(oom_bytes=4000)
+    squeezed = run_configuration(
+        BENCHMARKS["parboil-cp"],
+        "gtx580",
+        scale=0.1,
+        steps=1,
+        resilience=policy,
+    )
+    assert squeezed.faults["recovery.partitioned_launches"] == 0
+    assert squeezed.faults["demoted_tasks"] == ["CP.potentials"]

@@ -16,16 +16,19 @@ host interpreter — on every app. Two layers of evidence:
   (:func:`repro.runtime.sanitizer.values_equal`) and the simulated
   op-cycle counts identical.
 
-Local-memory staging is compiled off (``use_local=False``) so the
-batch tier is eligible for every app's map kernel; the tiling variants
-are covered by the decline tests in
-``tests/opencl/test_batch_executor.py``.
+Both tests run at two configs: the paper's default, where the memory
+optimizer stages reused arrays into local memory behind barriers and a
+guarded ``if`` (the tiled apps must then run batch with no per-item
+launch), and with local-memory staging compiled off
+(``use_local=False``), where every app's map kernel is a flat
+grid-stride loop.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.registry import BENCHMARKS
+from repro.compiler.options import OptimizationConfig
 from repro.evaluation.harness import run_configuration
 from repro.evaluation.perfbench import capture_launches, nolocal_config
 from repro.runtime.sanitizer import values_equal
@@ -34,6 +37,15 @@ APPS = sorted(BENCHMARKS)
 
 SCALE = 0.1
 MAX_ITEMS = 128
+
+# Every app at both configs; the default-config cases carry a suffix.
+CASES = [pytest.param(name, nolocal_config, id=name) for name in APPS] + [
+    pytest.param(name, OptimizationConfig, id=name + "-default")
+    for name in APPS
+]
+
+# Apps whose default-config kernels are tiled through local memory.
+TILED = {"nbody-single", "nbody-double", "mosaic", "parboil-cp", "parboil-mriq"}
 
 
 def _run(name, tier, config):
@@ -48,9 +60,9 @@ def _run(name, tier, config):
     )
 
 
-@pytest.mark.parametrize("name", APPS)
-def test_end_to_end_tiers_and_interpreter_agree(name):
-    config = nolocal_config()
+@pytest.mark.parametrize("name,make_config", CASES)
+def test_end_to_end_tiers_and_interpreter_agree(name, make_config):
+    config = make_config()
     per_item = _run(name, "per-item", config)
     batch = _run(name, "batch", config)
 
@@ -65,6 +77,8 @@ def test_end_to_end_tiers_and_interpreter_agree(name):
         "per-item": sum(per_item.executor["executor.launches"].values())
     }
     assert batch.executor["executor.launches"].get("batch", 0) > 0
+    if make_config is OptimizationConfig and name in TILED:
+        assert "per-item" not in batch.executor["executor.launches"]
 
     host = run_configuration(
         BENCHMARKS[name], "bytecode", scale=SCALE, steps=1
@@ -85,9 +99,9 @@ def _randomize(buffers, rng):
     return out
 
 
-@pytest.mark.parametrize("name", APPS)
-def test_kernel_level_bit_equal_on_random_inputs(name):
-    config = nolocal_config()
+@pytest.mark.parametrize("name,make_config", CASES)
+def test_kernel_level_bit_equal_on_random_inputs(name, make_config):
+    config = make_config()
     with capture_launches() as captured:
         run_configuration(
             BENCHMARKS[name],
@@ -117,6 +131,7 @@ def test_kernel_level_bit_equal_on_random_inputs(name):
             assert item_trace.tier == "per-item"
             assert batch_trace.tier == "batch"
             assert item_trace.op_cycles == batch_trace.op_cycles, kname
+            assert item_trace.barriers == batch_trace.barriers, kname
             for pname in item_bufs:
                 assert values_equal(item_bufs[pname], batch_bufs[pname]), (
                     "buffer {!r} of kernel {} diverged between tiers".format(

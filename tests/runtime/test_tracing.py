@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.registry import BENCHMARKS
+from repro.compiler.options import FIGURE8_CONFIGS
 from repro.evaluation.harness import run_configuration
 from repro.runtime.profiler import (
     ExecutionProfile,
@@ -252,6 +253,37 @@ def test_profile_publishes_tier_and_cache_metrics():
     assert summary["executor.launches"] == {"batch": 2, "per-item": 1}
     assert "cache_hits" not in summary
     assert "tiers" not in summary
+
+
+def test_batch_declines_are_counted_by_reason():
+    profile = ExecutionProfile()
+    profile.record_tier("per-item", "unknown builtin 'foo'")
+    profile.record_tier("per-item", "unknown builtin 'foo'")
+    profile.record_tier("batch")
+    assert profile.metrics.get("executor.batch_declined.unknown-builtin-foo") == 2
+    summary = profile.executor_summary()
+    assert summary["executor.batch_declined"] == {"unknown-builtin-foo": 2}
+    assert "batch_declined.unknown-builtin-foo=2" in render_executor_summary(
+        summary
+    )
+
+
+def test_run_reports_why_a_launch_left_the_batch_tier():
+    # The texture config reads nbody's particles through image loads,
+    # which the batch tier declines.
+    result = run_configuration(
+        BENCHMARKS["nbody-single"],
+        "gtx580",
+        scale=0.1,
+        steps=1,
+        config=FIGURE8_CONFIGS["Texture"],
+        max_sim_items=128,
+    )
+    assert result.executor["executor.launches"] == {"per-item": 1}
+    assert result.executor["executor.batch_declined"] == {"image-loads": 1}
+    assert "batch_declined.image-loads=1" in render_executor_summary(
+        result.executor
+    )
 
 
 def test_render_failure_summary_canonical_keys():
