@@ -1,19 +1,31 @@
-"""Hand-written lexer for the Lime surface language.
+"""Lexer for the Lime surface language.
 
-A straightforward maximal-munch scanner. Comments (``//`` and ``/* */``)
-and whitespace are skipped. Numeric literals follow Java's conventions:
-an unsuffixed decimal with a ``.`` or exponent is a ``double``; an ``f``
-suffix makes a ``float``; an ``L`` suffix makes a ``long``.
+One compiled master regex (``_SCAN``) does the common work. Each match
+skips trivia (whitespace, ``//`` and ``/* */`` comments) and then names
+what follows: an ASCII word (identifier or keyword) or an operator.
+Operators are alternatives listed longest first, so the first one that
+matches is the maximal munch. The scanner tracks the current line as it
+moves forward instead of searching for it per token.
+
+Everything else keeps hand-written code: numbers, string and char
+literals, words with non-ASCII letters (classified by ``str.isalpha``
+and ``str.isalnum``, which no regex class equals), and every error.
+Numeric literals follow Java's conventions: an unsuffixed decimal with a
+``.`` or exponent is a ``double``; an ``f`` suffix makes a ``float``; an
+``L`` suffix makes a ``long``.
 """
 
 from __future__ import annotations
 
+import bisect
+import re
+
 from repro.errors import LexError
-from repro.frontend.source import SourceFile
+from repro.frontend.source import Location, SourceFile
 from repro.frontend.tokens import KEYWORDS, Token, TokenKind
 
-# Multi-character operators, longest first so maximal munch works by
-# scanning this list in order.
+# Operators and punctuation, longest first so that the first matching
+# alternative of the master regex is the maximal munch.
 _OPERATORS = [
     (">>>", TokenKind.USHR),
     ("=>", TokenKind.CONNECT),
@@ -59,6 +71,39 @@ _OPERATORS = [
 ]
 
 
+_OPERATOR_KINDS = dict(_OPERATORS)
+
+
+def _operator_pattern(text):
+    if text == ".":
+        # Before a digit a dot starts a number (``.5``). Before a
+        # non-ASCII character it might, as ``str.isdigit`` decides.
+        return r"\.(?![0-9]|[^\x00-\x7f])"
+    if text == "/":
+        # ``/*`` that the trivia did not consume is an unclosed comment.
+        return r"/(?!\*)"
+    return re.escape(text)
+
+
+# ``\s`` matches exactly what ``str.isspace`` accepts. A word followed by
+# a non-ASCII character may continue under ``str.isalnum``, so it is left
+# to the hand-written scanner, as is anything ``other`` stops at. The
+# word's lookahead also refuses an ASCII word character, so backtracking
+# cannot stop a word short of a non-ASCII letter. The trivia loop is
+# never backtracked into: the empty ``other`` always matches after it.
+_SCAN = re.compile(
+    r"""
+    (?: \s+ | //[^\n]* | /\*.*?\*/ )*
+    (?:
+        (?P<word> [A-Za-z_$][A-Za-z0-9_$]* ) (?![A-Za-z0-9_$]|[^\x00-\x7f])
+      | (?P<op> {} )
+      | (?P<other> )
+    )
+    """.format("|".join(_operator_pattern(text) for text, _ in _OPERATORS)),
+    re.DOTALL | re.VERBOSE,
+)
+
+
 def _is_ident_start(char):
     return char.isalpha() or char == "_" or char == "$"
 
@@ -76,20 +121,55 @@ class Lexer:
         self.source = source
         self.text = source.text
         self.pos = 0
+        self._location = None  # of the token the hand-written code is at
 
     def tokens(self):
         """Lex the whole input, returning tokens ending with ``EOF``."""
+        text = self.text
+        filename = self.source.filename
+        scan = _SCAN.match
+        keywords = KEYWORDS
+        operators = _OPERATOR_KINDS
+        ident = TokenKind.IDENT
         result = []
+        append = result.append
+        line_starts = self.source.line_starts
+        # Where the line after each line begins (past the end for the last).
+        line_ends = line_starts[1:] + [len(text) + 1]
+        pos = 0
+        line, line_start, next_line = 1, 0, line_ends[0]
         while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
+            match = scan(text, pos)
+            group = match.lastgroup
+            start = match.start(group)
+            if start >= next_line:
+                line = bisect.bisect_right(line_starts, start)
+                line_start, next_line = line_starts[line - 1], line_ends[line - 1]
+            location = Location(filename, line, start - line_start + 1)
+            if group == "word":
+                pos = match.end()
+                word = text[start:pos]
+                kind = keywords.get(word)
+                if kind is None:
+                    append(Token(ident, word, location, word))
+                else:
+                    append(Token(kind, word, location))
+            elif group == "op":
+                pos = match.end()
+                op = text[start:pos]
+                append(Token(operators[op], op, location))
+            elif start >= len(text):
+                append(Token(TokenKind.EOF, "", location))
                 return result
+            else:
+                self.pos = start
+                self._location = location
+                append(self._lex_other())
+                pos = self.pos
 
-    def next_token(self):
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return self._make(TokenKind.EOF, self.pos, self.pos)
+    def _lex_other(self):
+        """The token at ``self.pos`` that the master regex left to
+        hand-written code."""
         char = self.text[self.pos]
         if _is_ident_start(char):
             return self._lex_word()
@@ -99,28 +179,17 @@ class Lexer:
             return self._lex_string()
         if char == "'":
             return self._lex_char()
-        return self._lex_operator()
-
-    # -- trivia ----------------------------------------------------------
-
-    def _skip_trivia(self):
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
-            if char.isspace():
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end < 0 else end + 1
-            elif self.text.startswith("/*", self.pos):
-                end = self.text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise LexError(
-                        "unterminated block comment",
-                        self.source.location(self.pos),
-                    )
-                self.pos = end + 2
-            else:
-                return
+        if self.text.startswith("/*", self.pos):
+            raise LexError(
+                "unterminated block comment", self.source.location(self.pos)
+            )
+        if char == ".":
+            self.pos += 1
+            return self._make(TokenKind.DOT, self.pos - 1, self.pos)
+        raise LexError(
+            "unexpected character {!r}".format(char),
+            self.source.location(self.pos),
+        )
 
     # -- token classes ----------------------------------------------------
 
@@ -175,16 +244,14 @@ class Lexer:
         return self._finish_int(start, base=10)
 
     def _finish_int(self, start, base):
-        if self.pos < len(self.text) and self.text[self.pos] in "lL":
-            self.pos += 1
-            text = self.text[start : self.pos]
-            return self._make(
-                TokenKind.LONG_LITERAL, start, self.pos, int(text[:-1], base)
-            )
         text = self.text[start : self.pos]
         if not text or (base == 16 and len(text) <= 2):
             raise LexError("malformed number", self.source.location(start))
-        return self._make(TokenKind.INT_LITERAL, start, self.pos, int(text, base))
+        kind = TokenKind.INT_LITERAL
+        if self.pos < len(self.text) and self.text[self.pos] in "lL":
+            self.pos += 1
+            kind = TokenKind.LONG_LITERAL
+        return self._make(kind, start, self.pos, int(text, base))
 
     _ESCAPES = {
         "n": "\n",
@@ -249,17 +316,6 @@ class Lexer:
         self.pos += 2
         return self._ESCAPES[escape]
 
-    def _lex_operator(self):
-        for text, kind in _OPERATORS:
-            if self.text.startswith(text, self.pos):
-                start = self.pos
-                self.pos += len(text)
-                return self._make(kind, start, self.pos)
-        raise LexError(
-            "unexpected character {!r}".format(self.text[self.pos]),
-            self.source.location(self.pos),
-        )
-
     # -- helpers ----------------------------------------------------------
 
     def _peek_is_digit(self, offset):
@@ -271,12 +327,7 @@ class Lexer:
         return char.isdigit() or char.lower() in "abcdef"
 
     def _make(self, kind, start, end, value=None):
-        return Token(
-            kind=kind,
-            text=self.text[start:end],
-            location=self.source.location(start),
-            value=value,
-        )
+        return Token(kind, self.text[start:end], self._location, value)
 
 
 def tokenize(source, filename="<lime>"):

@@ -40,6 +40,28 @@ _PRIM_KEYWORDS = {
     T.KW_DOUBLE: "double",
 }
 
+# Binary operators by precedence level, loosest first (the table above
+# ``parse_expr``); every level is left-associative.
+_BINARY_LEVELS = {
+    kind: level
+    for level, kinds in enumerate(
+        (
+            (T.OR_OR,),
+            (T.AND_AND,),
+            (T.PIPE,),
+            (T.CARET,),
+            (T.AMP,),
+            (T.EQ, T.NE),
+            (T.LT, T.GT, T.LE, T.GE),
+            (T.SHL, T.SHR, T.USHR),
+            (T.PLUS, T.MINUS),
+            (T.STAR, T.SLASH, T.PERCENT),
+        ),
+        start=1,
+    )
+    for kind in kinds
+}
+
 _ASSIGN_OPS = {
     T.ASSIGN: None,
     T.PLUS_ASSIGN: "+",
@@ -60,8 +82,10 @@ class Parser:
     # -- cursor helpers ----------------------------------------------------
 
     def peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]  # EOF
 
     def at(self, kind, offset=0):
         return self.peek(offset).kind is kind
@@ -404,15 +428,11 @@ class Parser:
     #   < > <= >=  << >> >>>  + -  * / %  unary  postfix
 
     def parse_expr(self):
-        return self.parse_connect()
-
-    def parse_connect(self):
         left = self.parse_map()
         while self.at(T.CONNECT):
             token = self.advance()
             right = self.parse_map()
-            node = ast.ConnectExpr(location=token.location, left=left, right=right)
-            left = node
+            left = ast.ConnectExpr(location=token.location, left=left, right=right)
         return left
 
     def parse_map(self):
@@ -473,7 +493,7 @@ class Parser:
         )
 
     def parse_ternary(self):
-        cond = self.parse_or()
+        cond = self.parse_binary()
         if self.accept(T.QUESTION):
             then = self.parse_ternary()
             self.expect(T.COLON)
@@ -484,45 +504,20 @@ class Parser:
             return node
         return cond
 
-    def _binary_level(self, kinds, next_level):
-        left = next_level()
-        while self.peek().kind in kinds:
-            token = self.advance()
-            right = next_level()
+    def parse_binary(self, min_level=1):
+        """Precedence climbing over ``_BINARY_LEVELS``: every operator is
+        left-associative, so its right operand binds one level tighter."""
+        left = self.parse_unary()
+        while True:
+            token = self.tokens[self.pos]
+            level = _BINARY_LEVELS.get(token.kind, 0)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.parse_binary(level + 1)
             left = ast.Binary(
                 location=token.location, op=token.text, left=left, right=right
             )
-        return left
-
-    def parse_or(self):
-        return self._binary_level({T.OR_OR}, self.parse_and)
-
-    def parse_and(self):
-        return self._binary_level({T.AND_AND}, self.parse_bitor)
-
-    def parse_bitor(self):
-        return self._binary_level({T.PIPE}, self.parse_bitxor)
-
-    def parse_bitxor(self):
-        return self._binary_level({T.CARET}, self.parse_bitand)
-
-    def parse_bitand(self):
-        return self._binary_level({T.AMP}, self.parse_equality)
-
-    def parse_equality(self):
-        return self._binary_level({T.EQ, T.NE}, self.parse_relational)
-
-    def parse_relational(self):
-        return self._binary_level({T.LT, T.GT, T.LE, T.GE}, self.parse_shift)
-
-    def parse_shift(self):
-        return self._binary_level({T.SHL, T.SHR, T.USHR}, self.parse_additive)
-
-    def parse_additive(self):
-        return self._binary_level({T.PLUS, T.MINUS}, self.parse_multiplicative)
-
-    def parse_multiplicative(self):
-        return self._binary_level({T.STAR, T.SLASH, T.PERCENT}, self.parse_unary)
 
     def parse_unary(self):
         token = self.peek()

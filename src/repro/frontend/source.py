@@ -7,6 +7,7 @@ the whole toolchain read uniformly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 
@@ -43,43 +44,35 @@ class SourceFile:
     def __init__(self, text, filename="<lime>"):
         self.text = text
         self.filename = filename
-        self._line_starts = self._compute_line_starts(text)
+        # The offset at which each line begins, first line first.
+        self.line_starts = self._compute_line_starts(text)
 
     @staticmethod
     def _compute_line_starts(text):
         starts = [0]
-        for index, char in enumerate(text):
-            if char == "\n":
-                starts.append(index + 1)
+        index = text.find("\n")
+        while index >= 0:
+            starts.append(index + 1)
+            index = text.find("\n", index + 1)
         return starts
 
     def location(self, offset):
         """Return the :class:`Location` of a character ``offset``."""
         if offset < 0 or offset > len(self.text):
             raise ValueError("offset {} out of range".format(offset))
-        line = self._bisect_line(offset)
-        column = offset - self._line_starts[line] + 1
+        line = bisect.bisect_right(self.line_starts, offset) - 1
+        column = offset - self.line_starts[line] + 1
         return Location(self.filename, line + 1, column)
-
-    def _bisect_line(self, offset):
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     def line_text(self, line):
         """Return the text of a 1-based ``line`` without its newline."""
-        if line < 1 or line > len(self._line_starts):
+        if line < 1 or line > len(self.line_starts):
             raise ValueError("line {} out of range".format(line))
-        start = self._line_starts[line - 1]
-        if line == len(self._line_starts):
+        start = self.line_starts[line - 1]
+        if line == len(self.line_starts):
             end = len(self.text)
         else:
-            end = self._line_starts[line] - 1
+            end = self.line_starts[line] - 1
         return self.text[start:end]
 
     def snippet(self, location, marker="^"):

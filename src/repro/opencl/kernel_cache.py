@@ -63,38 +63,55 @@ _SKIP_FIELDS = frozenset({"site", "meta"})
 
 def _serialize(node, out):
     """Append a canonical token stream for ``node`` to ``out``."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        out.append(type(node).__name__)
-        out.append("(")
-        for f in dataclasses.fields(node):
-            if f.name in _SKIP_FIELDS:
-                continue
-            out.append(f.name + "=")
-            _serialize(getattr(node, f.name), out)
-        out.append(")")
-    elif isinstance(node, enum.Enum):
-        out.append(type(node).__name__ + "." + node.name)
-    elif isinstance(node, (list, tuple)):
-        out.append("[")
-        for item in node:
-            _serialize(item, out)
-            out.append(",")
-        out.append("]")
-    elif isinstance(node, float):
-        # repr round-trips floats exactly (incl. -0.0 vs 0.0).
-        out.append("f" + repr(node))
-    elif isinstance(node, bool):
-        out.append("b" + repr(node))
-    elif isinstance(node, int):
-        out.append("i" + repr(node))
-    elif isinstance(node, str):
-        out.append("s" + repr(node))
-    elif node is None:
-        out.append("~")
-    else:
-        raise TypeError(
-            "cannot fingerprint {} in kernel IR".format(type(node).__name__)
+    write = _WRITERS.get(type(node))
+    if write is None:
+        write = _WRITERS[type(node)] = _writer_for(type(node))
+    write(node, out)
+
+
+def _writer_for(cls):
+    """The writer for every value of type ``cls``, chosen by the checks
+    the stream has always used, in their order (so ``bool`` is not an
+    ``int``), and kept per type: IR nodes repeat a handful of types."""
+    if dataclasses.is_dataclass(cls):
+        head = cls.__name__ + "("
+        labels = tuple(
+            (f.name, f.name + "=")
+            for f in dataclasses.fields(cls)
+            if f.name not in _SKIP_FIELDS
         )
+
+        def write_dataclass(node, out):
+            out.append(head)
+            for name, label in labels:
+                out.append(label)
+                _serialize(getattr(node, name), out)
+            out.append(")")
+
+        return write_dataclass
+    if issubclass(cls, enum.Enum):
+        return lambda node, out: out.append(cls.__name__ + "." + node.name)
+    if issubclass(cls, (list, tuple)):
+        return _write_sequence
+    for base, prefix in ((float, "f"), (bool, "b"), (int, "i"), (str, "s")):
+        if issubclass(cls, base):
+            # repr round-trips floats exactly (incl. -0.0 vs 0.0).
+            return lambda node, out: out.append(prefix + repr(node))
+    if cls is type(None):
+        return lambda node, out: out.append("~")
+    raise TypeError("cannot fingerprint {} in kernel IR".format(cls.__name__))
+
+
+def _write_sequence(node, out):
+    out.append("[")
+    for item in node:
+        _serialize(item, out)
+        out.append(",")
+    out.append("]")
+
+
+# Type -> writer, filled on the first value of each type.
+_WRITERS = {}
 
 
 def kernel_fingerprint(kernel):

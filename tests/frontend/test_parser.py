@@ -200,3 +200,36 @@ def test_var_inference_syntax():
     decl = program.classes[0].methods[0].body.stmts[0]
     assert isinstance(decl, ast.VarDecl)
     assert decl.declared_type is None
+
+
+# Binary operators by precedence level, loosest first.
+BINARY_LEVELS = [
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["==", "!="],
+    ["<", ">", "<=", ">="],
+    ["<<", ">>", ">>>"],
+    ["+", "-"],
+    ["*", "/", "%"],
+]
+LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+
+def _grouping(expr):
+    if isinstance(expr, ast.Binary):
+        return "({} {} {})".format(_grouping(expr.left), expr.op, _grouping(expr.right))
+    return expr.name
+
+
+@pytest.mark.parametrize("first", sorted(LEVEL_OF))
+@pytest.mark.parametrize("second", sorted(LEVEL_OF))
+def test_binary_precedence_and_left_associativity(first, second):
+    expr = parse_expression("a {} b {} c".format(first, second))
+    if LEVEL_OF[first] >= LEVEL_OF[second]:
+        expected = "((a {} b) {} c)".format(first, second)
+    else:
+        expected = "(a {} (b {} c))".format(first, second)
+    assert _grouping(expr) == expected

@@ -8,6 +8,8 @@ under the other setting. (An uninstrumented artifact reused for a
 sanitized run would silently skip every bounds/race check.)
 """
 
+import json
+
 import pytest
 
 from repro.apps.registry import BENCHMARKS
@@ -22,6 +24,13 @@ from repro.opencl.kernel_cache import (
     sanitizer_key,
 )
 from repro.runtime.sanitizer import SanitizerConfig
+from tests.backend.test_golden_kernels import (
+    CASES,
+    GOLDEN_DIR,
+    _check_snapshot,
+    _compile,
+    _stem,
+)
 
 I32 = K.KScalar("int")
 
@@ -69,6 +78,54 @@ class TestFingerprint:
         decorated.meta["source_param"] = "xs"
         K.assign_sites(decorated)
         assert kernel_fingerprint(plain) == kernel_fingerprint(decorated)
+
+
+    def test_bool_and_int_constants_differ(self):
+        def const_kernel(value):
+            kernel = make_kernel()
+            kernel.body[1].value.right = K.KConst(value, I32)
+            return kernel
+
+        assert kernel_fingerprint(const_kernel(True)) != kernel_fingerprint(
+            const_kernel(1)
+        )
+
+    def test_negative_zero_differs_from_zero(self):
+        f32 = K.KScalar("float")
+
+        def const_kernel(value):
+            kernel = make_kernel()
+            kernel.body[1].value.right = K.KConst(value, f32)
+            return kernel
+
+        assert kernel_fingerprint(const_kernel(-0.0)) != kernel_fingerprint(
+            const_kernel(0.0)
+        )
+
+    def test_unknown_node_type_is_rejected(self):
+        kernel = make_kernel()
+        kernel.body[1].value.right = K.KConst(object(), I32)
+        with pytest.raises(TypeError, match="cannot fingerprint object"):
+            kernel_fingerprint(kernel)
+
+
+def test_golden_kernel_fingerprints():
+    """The cache keys of the golden kernels are pinned: a serializer
+    that drifts would silently orphan every on-disk kernel artifact.
+    Re-bless (and bump ``DISK_ARTIFACT_VERSION``) with
+    ``REPRO_UPDATE_GOLDEN=1``."""
+    fingerprints = {
+        _stem(name, device, config): kernel_fingerprint(
+            _compile(name, device, config).plan.kernel
+        )
+        for name, device, config in CASES
+    }
+    assert len(fingerprints) == 19
+    _check_snapshot(
+        json.dumps(fingerprints, indent=1, sort_keys=True) + "\n",
+        GOLDEN_DIR / "kernel_fingerprints.json",
+        "kernel fingerprints",
+    )
 
 
 class TestCacheBehavior:

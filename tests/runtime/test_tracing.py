@@ -130,23 +130,30 @@ def test_fresh_profile_uses_null_tracer():
 def test_tracing_off_overhead_under_two_percent():
     """With tracing off the instrumentation must cost < 2% of a
     jg-series run: (tracer calls the run makes) x (null per-call cost)
-    bounded against the run's wall time."""
+    bounded against the run's wall time. Both times are the minimum of
+    several samples, so one slow sample cannot decide the verdict."""
     bench = BENCHMARKS["jg-series-single"]
     run_configuration(bench, "gtx580", scale=0.2)  # warm caches
-    start = time.perf_counter()
-    run_configuration(bench, "gtx580", scale=0.2)
-    run_s = time.perf_counter() - start
+    run_times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run_configuration(bench, "gtx580", scale=0.2)
+        run_times.append(time.perf_counter() - start)
+    run_s = min(run_times)
 
     tracer = Tracer()
     run_configuration(bench, "gtx580", scale=0.2, tracer=tracer)
     n_calls = len(tracer.events)  # every event is one tracer call site
 
     reps = 20000
-    start = time.perf_counter()
-    for _ in range(reps):
-        with NULL_TRACER.span("item", cat="task", task="A.f", seq=0):
-            NULL_TRACER.charge("kernel", 100.0, cat="stage", tier="batch")
-    per_pair = (time.perf_counter() - start) / reps
+    pair_times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(reps):
+            with NULL_TRACER.span("item", cat="task", task="A.f", seq=0):
+                NULL_TRACER.charge("kernel", 100.0, cat="stage", tier="batch")
+        pair_times.append((time.perf_counter() - start) / reps)
+    per_pair = min(pair_times)
     overhead_s = n_calls * per_pair  # pair cost over-counts: safe bound
     assert overhead_s < 0.02 * run_s, (
         "null-tracer overhead {:.6f}s vs run {:.3f}s "
