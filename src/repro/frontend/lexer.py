@@ -230,17 +230,19 @@ class Lexer:
             self.pos += 1
             text = self.text[start : self.pos]
             return self._make(
-                TokenKind.FLOAT_LITERAL, start, self.pos, float(text[:-1])
+                TokenKind.FLOAT_LITERAL, start, self.pos, self._value(start, text[:-1])
             )
         if self.pos < len(self.text) and self.text[self.pos] in "dD":
             self.pos += 1
             text = self.text[start : self.pos]
             return self._make(
-                TokenKind.DOUBLE_LITERAL, start, self.pos, float(text[:-1])
+                TokenKind.DOUBLE_LITERAL, start, self.pos, self._value(start, text[:-1])
             )
         if is_float:
             text = self.text[start : self.pos]
-            return self._make(TokenKind.DOUBLE_LITERAL, start, self.pos, float(text))
+            return self._make(
+                TokenKind.DOUBLE_LITERAL, start, self.pos, self._value(start, text)
+            )
         return self._finish_int(start, base=10)
 
     def _finish_int(self, start, base):
@@ -251,7 +253,18 @@ class Lexer:
         if self.pos < len(self.text) and self.text[self.pos] in "lL":
             self.pos += 1
             kind = TokenKind.LONG_LITERAL
-        return self._make(kind, start, self.pos, int(text, base))
+        return self._make(kind, start, self.pos, self._value(start, text, base))
+
+    def _value(self, start, text, base=None):
+        """The literal's value: an int in ``base``, or a float. A digit
+        that ``str.isdigit`` accepts but ``int``/``float`` reject (``²``)
+        makes a malformed number."""
+        try:
+            return float(text) if base is None else int(text, base)
+        except ValueError:
+            raise LexError(
+                "malformed number", self.source.location(start)
+            ) from None
 
     _ESCAPES = {
         "n": "\n",

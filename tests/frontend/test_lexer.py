@@ -171,6 +171,31 @@ def test_malformed_hex_literal_is_a_lex_error(source):
     assert info.value.location == Location("<lime>", 1, 5)
 
 
+@pytest.mark.parametrize(
+    "source", ["²", ".²", "1²", "1.²", "1e²", "²f", "1²d", "1²L", "0x²", "٣.²"]
+)
+def test_digit_that_int_rejects_is_a_lex_error(source):
+    """``str.isdigit`` accepts superscripts, which ``int`` and ``float``
+    reject: the literal is malformed at its start, not a traceback."""
+    with pytest.raises(LexError, match="malformed number") as info:
+        tokenize("x = " + source + ";")
+    assert info.value.location == Location("<lime>", 1, 5)
+
+
+@pytest.mark.parametrize(
+    "source,kind,value",
+    [
+        ("٣", T.INT_LITERAL, 3),
+        ("٣L", T.LONG_LITERAL, 3),
+        ("٣.٥", T.DOUBLE_LITERAL, 3.5),
+        ("٣f", T.FLOAT_LITERAL, 3.0),
+    ],
+)
+def test_decimal_digits_int_accepts_still_lex(source, kind, value):
+    token = tokenize("x = " + source + ";")[2]
+    assert (token.kind, token.text, token.value) == (kind, source, value)
+
+
 def test_hex_long_literal():
     token = tokenize("0x1fL")[0]
     assert (token.kind, token.text, token.value) == (T.LONG_LITERAL, "0x1fL", 31)
